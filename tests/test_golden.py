@@ -1,0 +1,128 @@
+"""Frozen golden corpus: solver, checks, closure verdicts, flat sections and
+star products on fixed inputs, compared byte for byte with
+tests/golden/corpus.json.
+
+Regenerate the file only when a change of output is intended:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import json
+import pathlib
+import sys
+
+from fedosov.abelian import (
+    AbelianCorrection,
+    abelian_r,
+    check_abelian,
+    finiteness_test,
+    flat_section,
+    star,
+)
+from fedosov.geometry import ConnectionSpec, ManifoldSpec
+from fedosov.manifest import load_manifest, parse_poly, series_to_records
+from fedosov.poly import BasePolynomial, format_poly
+from fedosov.weyl import WeylSeries
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "tests" / "golden" / "corpus.json"
+N = 10
+LIFT_GRADE = 6
+STAR_ORDER = 3
+
+OBSERVABLES = {
+    2: ["q1", "q1*q2", "q1^2 - 1/2*q2 + 3"],
+    4: ["q1", "q1*q3 + q4", "q2^2 - q4"],
+}
+STAR_PAIRS = {
+    2: [("q1", "q2"), ("q2", "q1"), ("q1^2", "q2^2"), ("q1*q2", "q1 + q2^2")],
+    4: [("q1", "q2"), ("q1*q3", "q2*q4"), ("q3^2", "q1 + q4")],
+}
+
+
+def connections():
+    out = {}
+    for name in ("flat2d", "curved2d", "commuting4d"):
+        man = load_manifest(str(ROOT / "manifests" / f"{name}.json"))
+        out[name] = (man.manifold(), man.connection())
+    q1, q2 = BasePolynomial.variable(2, 1), BasePolynomial.variable(2, 2)
+    out["poly2d"] = (ManifoldSpec.standard(2),
+                     ConnectionSpec(2, [((1, 1, 1), q2), ((1, 2, 2), q1)]))
+    return out
+
+
+def records(s: WeylSeries | None):
+    return None if s is None else series_to_records(s)
+
+
+def report_fields(rep):
+    return {
+        "ok": rep.ok,
+        "checked_through": rep.checked_through,
+        "first_bad_grade": rep.first_bad_grade,
+        "residual": records(rep.residual),
+        "normalization_ok": rep.normalization_ok,
+        "even_hbar_ok": rep.even_hbar_ok,
+        "fiber_ok": rep.fiber_ok,
+        "base_ok": rep.base_ok,
+        "messages": rep.messages,
+    }
+
+
+def star_text(result):
+    return {str(k): format_poly(p) for k, p in sorted(result.items())}
+
+
+def connection_entry(m, c):
+    r = abelian_r(m, c, N)
+    dim = m.dim
+    entry = {
+        "r": {str(z): series_to_records(r.part(z)) for z in range(3, N + 1)},
+        "check": report_fields(check_abelian(r)),
+        "check_partial": report_fields(check_abelian(r, N - 3)),
+        "closure": {},
+        "lifts": {},
+        "star": {},
+    }
+    for mm in range(4, N + 1):
+        fr = finiteness_test(r, mm)
+        entry["closure"][str(mm)] = {
+            "violations": list(fr.violations),
+            "first_residual": records(fr.first_residual),
+        }
+    for text in OBSERVABLES[dim]:
+        s = flat_section(r, parse_poly(text, dim), LIFT_GRADE)
+        entry["lifts"][text] = {"known_through": s.known_through,
+                                "series": series_to_records(s.series)}
+    for a, b in STAR_PAIRS[dim]:
+        result = star(m, c, parse_poly(a, dim), parse_poly(b, dim), STAR_ORDER, r=r)
+        entry["star"][f"{a} | {b}"] = star_text(result)
+    # a correction whose first component is wrong: the check must say where
+    parts = dict(r.parts)
+    parts[3] = WeylSeries.zero(dim)
+    bad = AbelianCorrection(m, c, parts, known_through=N)
+    entry["check_corrupted"] = report_fields(check_abelian(bad))
+    return entry
+
+
+def corpus() -> dict:
+    return {name: connection_entry(m, c) for name, (m, c) in connections().items()}
+
+
+def dump(data: dict) -> str:
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
+
+
+def test_golden_corpus_byte_identical():
+    want = CORPUS.read_text(encoding="utf-8")
+    got = corpus()
+    # compare structures first so that a failure names the differing entry
+    assert got == json.loads(want)
+    assert dump(got) == want
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    CORPUS.parent.mkdir(exist_ok=True)
+    CORPUS.write_text(dump(corpus()), encoding="utf-8")
