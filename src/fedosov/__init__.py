@@ -49,7 +49,7 @@ from .manifest import (
     series_to_records,
 )
 from .poly import BasePolynomial, format_poly
-from .scalars import GaussianRational, factorial_ratio, format_scalar
+from .scalars import GaussianRational, format_scalar
 from .twodim import (
     CascadeError,
     CascadeResult,

@@ -5,15 +5,17 @@ The correction one-form r solves
     delta r = R + covariant_d r + (1/i hbar) r o r,      delta_inv r = 0,
 
 with R the curvature two-form of the symmetric connection.  Solving grade
-by grade gives the unique normalized solution
+by grade gives the unique normalized solution r[3] = delta_inv R and
+r[z] = delta_inv source(z), with
 
-    r[3] = delta_inv R
-    r[z] = delta_inv( covariant_d r[z-1]
-                      + (1/i hbar) sum_{j=3}^{z-2} r[j] o r[z+1-j] )
+    source(z) = covariant_d r[z-1] + (1/i hbar) sum_{j+k=z+1} r[j] o r[k]
 
-whose components are one-forms of degree z with fiber length >= 1 and
-even hbar powers only.  Flat sections of the resulting Abelian connection
-are lifted from their X-free parts by another graded fixed point, and the
+(j, k >= 3), whose components are one-forms of degree z with fiber length
+>= 1 and even hbar powers only.  Each correction keeps a table of the
+products r[j] o r[k], formed at most once: the solver, check_abelian and
+the closure system of finiteness_test all read their sources from it.
+Flat sections are lifted from their X-free parts by the same graded
+step, with commutators [r[j], a[w]] in place of the products, and the
 star product of two observables is the projection of the circle product
 of their lifts.
 """
@@ -21,6 +23,7 @@ of their lifts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .calculus import covariant_d, delta, delta_inv
 from .geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
@@ -40,6 +43,9 @@ class AbelianCorrection:
     connection: ConnectionSpec
     parts: dict[int, WeylSeries]
     known_through: int
+    # (j, k) -> r[j] o r[k], filled on demand from `parts`, which must not
+    # change once a product has been read
+    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def part(self, z: int) -> WeylSeries:
         if z < 3:
@@ -61,24 +67,38 @@ class AbelianCorrection:
         grades = self.nonzero_grades()
         return grades[-1] if grades else None
 
+    @cached_property
+    def _gamma(self) -> WeylSeries:
+        return gamma_form(self.manifold, self.connection)
+
+    def _product(self, j: int, k: int) -> WeylSeries:
+        p = self._products.get((j, k))
+        if p is None:
+            p = self._products[(j, k)] = self.manifold.algebra.circ(self.part(j), self.part(k))
+        return p
+
+    def _source(self, z: int) -> WeylSeries:
+        """covariant_d r[z-1] + (1/i hbar) sum_{j+k=z+1} r[j] o r[k]."""
+        prods = [self._product(j, z + 1 - j) for j in range(3, z - 1)]
+        return _step(self, self.part(z - 1), prods)
+
+
+def _step(r: AbelianCorrection, prev: WeylSeries, prods) -> WeylSeries:
+    """covariant_d prev + (1/i hbar) sum(prods): one grade's source."""
+    out = covariant_d(r.manifold.algebra, r._gamma, prev)
+    total = sum(prods, WeylSeries.zero(r.manifold.dim))
+    return out if total.is_zero() else out + div_ihbar(total)
+
 
 def abelian_r(m: ManifoldSpec, c: ConnectionSpec, N: int) -> AbelianCorrection:
     """Solve the normalized correction grade by grade through degree N."""
     if N < 3:
         raise ValueError("need N >= 3: the correction starts at degree 3")
-    alg = m.algebra
-    gamma = gamma_form(m, c)
-    R = curvature_form(m, c)
-    parts: dict[int, WeylSeries] = {3: delta_inv(R)}
+    r = AbelianCorrection(m, c, {3: delta_inv(curvature_form(m, c))}, known_through=3)
     for z in range(4, N + 1):
-        source = covariant_d(alg, gamma, parts[z - 1])
-        prods = WeylSeries.zero(m.dim)
-        for j in range(3, z - 1):
-            prods = prods + alg.circ(parts[j], parts[z + 1 - j])
-        if not prods.is_zero():
-            source = source + div_ihbar(prods)
-        parts[z] = delta_inv(source)
-    return AbelianCorrection(m, c, parts, known_through=N)
+        r.parts[z] = delta_inv(r._source(z))
+        r.known_through = z
+    return r
 
 
 def abelian_r_iterative(m: ManifoldSpec, c: ConnectionSpec, steps: int, N: int) -> AbelianCorrection:
@@ -121,39 +141,29 @@ class CheckReport:
 def check_abelian(r: AbelianCorrection, N: int | None = None) -> CheckReport:
     """Verify the defining equation residual vanishes through grade N-1,
     plus the normalization delta_inv r = 0, even hbar powers, fiber
-    length >= 1, and the base component r[3] = delta_inv R.
+    length >= 1, each term's degree matching its grade, and the base
+    component r[3] = delta_inv R.
+
+    The residual at grade g is delta r[g+1] - source(g+1), with R as the
+    source at g = 2; it reads only products r[j] o r[k] with j + k <= N + 1.
     """
-    m, c = r.manifold, r.connection
     if N is None:
         N = r.known_through
     if N > r.known_through:
         raise TruncationError(f"cannot check through {N}: r known through {r.known_through}")
-    alg = m.algebra
-    gamma = gamma_form(m, c)
-    R = curvature_form(m, c)
-
-    residual = -R
-    prods = WeylSeries.zero(m.dim)
-    for z in range(3, N + 1):
-        pz = r.part(z)
-        residual = residual + delta(pz) - covariant_d(alg, gamma, pz)
-        for w in range(3, N + 1):
-            prods = prods + alg.circ(pz, r.part(w))
-    if not prods.is_zero():
-        residual = residual - div_ihbar(prods)
-    # grades >= N receive contributions from parts beyond the computed range
-    residual = residual.truncate(N - 1)
+    R = curvature_form(r.manifold, r.connection)
 
     report = CheckReport(ok=True, checked_through=N - 1)
-    for g in range(0, N):
-        part = residual.homogeneous_part(g)
-        if not part.is_zero():
+    for g in range(2, N):
+        residual = delta(r.part(g + 1)) - (R if g == 2 else r._source(g + 1))
+        if not residual.is_zero():
             report.ok = False
             report.first_bad_grade = g
-            report.residual = part
+            report.residual = residual
             report.messages.append(f"equation residual nonzero at grade {g}")
             break
 
+    graded = True
     for z in range(3, N + 1):
         pz = r.part(z)
         if not delta_inv(pz).is_zero():
@@ -166,11 +176,14 @@ def check_abelian(r: AbelianCorrection, N: int | None = None) -> CheckReport:
             if not any(t.fiber):
                 report.fiber_ok = False
                 report.messages.append(f"X-free term in r[{z}]")
+            if t.degree != z:
+                graded = False
+                report.messages.append(f"degree-{t.degree} term in r[{z}]")
     if r.part(3) != delta_inv(R):
         report.base_ok = False
         report.messages.append("r[3] != delta_inv R")
     report.ok = report.ok and report.normalization_ok and report.even_hbar_ok \
-        and report.fiber_ok and report.base_ok
+        and report.fiber_ok and report.base_ok and graded
     return report
 
 
@@ -198,8 +211,7 @@ class FinitenessResult:
 def finiteness_test(r: AbelianCorrection, m_param: int) -> FinitenessResult:
     """Evaluate the closure system equivalent to r[z] = 0 for all z >= m_param.
 
-    Equation at z = m:      covariant_d r[m-1]
-                            + (1/i hbar) sum_{j=3}^{m-2} r[j] o r[m+1-j] = 0
+    Equation at z = m:      source(m) = 0, the solver's own source
     and for m < z <= 2m-3:  sum_j r[j] o r[z+1-j] = 0 over the j with both
     factors below degree m; the last is r[m-1] o r[m-1] = 0.
     """
@@ -210,31 +222,13 @@ def finiteness_test(r: AbelianCorrection, m_param: int) -> FinitenessResult:
             f"need r through degree {m_param - 1}, known through {r.known_through}"
         )
     mm = m_param
-    alg = r.manifold.algebra
-    gamma = gamma_form(r.manifold, r.connection)
-
-    violations = []
-    first_residual = None
-
-    eq = covariant_d(alg, gamma, r.part(mm - 1))
-    prods = WeylSeries.zero(r.manifold.dim)
-    for j in range(3, mm - 1):
-        prods = prods + alg.circ(r.part(j), r.part(mm + 1 - j))
-    if not prods.is_zero():
-        eq = eq + div_ihbar(prods)
-    if not eq.is_zero():
-        violations.append(mm)
-        first_residual = eq
-
+    equations = [(mm, r._source(mm))]
     for z in range(mm + 1, 2 * mm - 2):
-        acc = WeylSeries.zero(r.manifold.dim)
-        for j in range(max(3, z + 2 - mm), min(mm - 1, z - 2) + 1):
-            acc = acc + alg.circ(r.part(j), r.part(z + 1 - j))
-        if not acc.is_zero():
-            violations.append(z)
-            if first_residual is None:
-                first_residual = acc
-    return FinitenessResult(mm, tuple(violations), first_residual)
+        js = range(max(3, z + 2 - mm), min(mm - 1, z - 2) + 1)
+        equations.append((z, sum((r._product(j, z + 1 - j) for j in js),
+                                 WeylSeries.zero(r.manifold.dim))))
+    bad = [(z, eq) for z, eq in equations if not eq.is_zero()]
+    return FinitenessResult(mm, tuple(z for z, _ in bad), bad[0][1] if bad else None)
 
 
 @dataclass
@@ -296,37 +290,33 @@ def flat_section(r: AbelianCorrection, a0: BasePolynomial, N: int | None = None)
 
         a = a0 + delta_inv( covariant_d a + (1/i hbar)[r, a] )
 
-    solved through grade N by N sweeps of the fixed point (grade z of the
-    right side only reads grades below z, so sweep s settles grade s).
+    solved through grade N by the solver's graded step: a[0] = a0 and
+
+        a[z] = delta_inv( covariant_d a[z-1]
+                          + (1/i hbar) sum_{j>=3} [r[j], a[z+1-j]] ).
+
+    a0 is X-free, hence central, so the sum stops at j = z.
     """
-    m, c = r.manifold, r.connection
+    m = r.manifold
     if N is None:
         N = r.known_through
     if N > r.known_through:
         raise TruncationError(f"need r through {N}, known through {r.known_through}")
     if a0.dim != m.dim:
         raise ValueError("observable dimension mismatch")
-    alg = m.algebra
-    gamma = gamma_form(m, c)
-    rs = r.series()
-    base = WeylSeries.from_poly(a0)
-    a = base
-    for _ in range(N):
-        rhs = covariant_d(alg, gamma, a) + div_ihbar(alg.commutator(rs, a))
-        a = (base + delta_inv(rhs)).truncate(N)
-    a = a.truncate(N)
-    if a.known_through is not None and a.known_through < N:
-        raise TruncationError(f"section settled only through {a.known_through}, need {N}")
-    return FlatSection(a0=a0, series=a, known_through=N)
+    grades = [WeylSeries.from_poly(a0)]
+    for z in range(1, N + 1):
+        comms = [m.algebra.commutator(r.part(j), grades[z + 1 - j]) for j in range(3, z + 1)]
+        grades.append(delta_inv(_step(r, grades[z - 1], comms)))
+    series = sum(grades, WeylSeries.zero(m.dim, known_through=N))
+    return FlatSection(a0=a0, series=series, known_through=N)
 
 
 def flatness_residual(r: AbelianCorrection, section: FlatSection) -> WeylSeries:
     """-delta a + covariant_d a + (1/i hbar)[r, a]; zero through grade N-1."""
-    m, c = r.manifold, r.connection
-    alg = m.algebra
-    gamma = gamma_form(m, c)
+    alg = r.manifold.algebra
     a = section.series
-    return -delta(a) + covariant_d(alg, gamma, a) + div_ihbar(alg.commutator(r.series(), a))
+    return -delta(a) + covariant_d(alg, r._gamma, a) + div_ihbar(alg.commutator(r.series(), a))
 
 
 def star(m: ManifoldSpec, c: ConnectionSpec, a0: BasePolynomial, b0: BasePolynomial,

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,14 +73,6 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.of(other) * self.inverse()
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = GaussianRational(Fraction(other))
@@ -127,17 +118,3 @@ def format_scalar(v: GaussianRational) -> str:
         return imag(v.im, lead=True)
     return str(v.re) + imag(v.im, lead=False)
 
-
-def factorial_ratio(numerators, denominators) -> Fraction:
-    """Exact product(n_i!) / product(d_j!); arguments must be >= 0."""
-    num = 1
-    for n in numerators:
-        if n < 0:
-            raise ValueError(f"factorial of negative argument {n}")
-        num *= factorial(n)
-    den = 1
-    for d in denominators:
-        if d < 0:
-            raise ValueError(f"factorial of negative argument {d}")
-        den *= factorial(d)
-    return Fraction(num, den)

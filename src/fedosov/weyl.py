@@ -199,12 +199,6 @@ class WeylSeries:
             out._terms = {key: c * s for key, c in self._terms.items()}
         return out
 
-    def mul_poly(self, p: BasePolynomial) -> "WeylSeries":
-        out = WeylSeries(self.dim, known_through=self.known_through)
-        for (k, f, w), c in self._terms.items():
-            out._insert(out._terms, k, f, w, c * p)
-        return out
-
     def truncate(self, cap: int) -> "WeylSeries":
         known = cap if self.known_through is None else min(self.known_through, cap)
         out = WeylSeries(self.dim, known_through=known)

@@ -16,15 +16,46 @@ from fedosov.abelian import (
     star,
     star_hbar,
 )
-from fedosov.calculus import delta_inv
-from fedosov.geometry import curvature_form
+from fedosov.calculus import covariant_d, delta_inv
+from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
 from fedosov.poly import BasePolynomial
 from fedosov.scalars import GaussianRational, I, ONE
-from fedosov.weyl import TruncationError, WeylSeries
+from fedosov.weyl import TruncationError, WeylAlgebra, WeylSeries, div_ihbar
 
 from conftest import rand_poly
 
 HALF_I = GaussianRational(0, Fraction(1, 2))
+
+
+def flat_section_sweeps(r, a0, N):
+    """Oracle for flat_section: N sweeps of the whole-series fixed point
+
+        a <- a0 + delta_inv( covariant_d a + (1/i hbar)[r, a] )
+
+    truncated to grade N; sweep s settles grade s.
+    """
+    m = r.manifold
+    alg = m.algebra
+    gamma = gamma_form(m, r.connection)
+    rs = r.series()
+    base = WeylSeries.from_poly(a0)
+    a = base
+    for _ in range(N):
+        rhs = covariant_d(alg, gamma, a) + div_ihbar(alg.commutator(rs, a))
+        a = (base + delta_inv(rhs)).truncate(N)
+    return a
+
+
+@pytest.fixture(scope="module")
+def poly2():
+    q1, q2 = BasePolynomial.variable(2, 1), BasePolynomial.variable(2, 2)
+    return ManifoldSpec.standard(2), ConnectionSpec(2, [((1, 1, 1), q2), ((1, 2, 2), q1)])
+
+
+@pytest.fixture(scope="module")
+def const4():
+    return ManifoldSpec.standard(4), ConnectionSpec(4, [((1, 1, 1), 1), ((1, 2, 3), 1),
+                                                        ((2, 4, 4), Fraction(1, 2))])
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +165,28 @@ class TestCheck:
         rep = check_abelian(bad)
         assert not rep.even_hbar_ok and not rep.ok
 
+    def test_corrupted_top_grade(self, r_curved):
+        m, c = r_curved.manifold, r_curved.connection
+        parts = dict(r_curved.parts)
+        parts[9] = parts[9].scale(2)
+        rep = check_abelian(AbelianCorrection(m, c, parts, known_through=9))
+        assert not rep.ok
+        assert rep.first_bad_grade == 8
+        assert rep.messages == ["equation residual nonzero at grade 8"]
+
+    def test_misplaced_term_flagged(self, r_curved):
+        # r[5] folded into r[4]: the whole series, the normalization and the
+        # parity are unchanged, but every r[5] term sits in the wrong grade
+        m, c = r_curved.manifold, r_curved.connection
+        parts = dict(r_curved.parts)
+        parts[4] = parts[4] + parts[5]
+        parts[5] = WeylSeries.zero(2)
+        bad = AbelianCorrection(m, c, parts, known_through=r_curved.known_through)
+        rep = check_abelian(bad)
+        assert not rep.ok
+        assert "degree-5 term in r[4]" in rep.messages
+        assert rep.normalization_ok and rep.even_hbar_ok and rep.fiber_ok and rep.base_ok
+
     def test_check_beyond_known_raises(self, r_curved):
         with pytest.raises(TruncationError):
             check_abelian(r_curved, N=12)
@@ -169,6 +222,37 @@ class TestFiniteness:
             finiteness_test(r_curved, 3)
         with pytest.raises(TruncationError):
             finiteness_test(r_curved, 11)
+
+
+class TestProductSharing:
+    def test_each_pair_formed_once(self, curved2, monkeypatch):
+        formed = []
+        circ = WeylAlgebra.circ
+
+        def counting(alg, a, b, cap=None):
+            formed.append((a, b))
+            return circ(alg, a, b, cap)
+
+        monkeypatch.setattr(WeylAlgebra, "circ", counting)
+        m, c = curved2
+        N = 9
+        r = abelian_r(m, c, N)
+        grade = {id(p): z for z, p in r.parts.items()}
+
+        def pairs():
+            # r[j] o r[k] only; the curvature's own gamma o gamma is not a pair
+            return [(grade[id(a)], grade[id(b)]) for a, b in formed
+                    if id(a) in grade and id(b) in grade]
+
+        solved = pairs()
+        assert solved and max(j + k for j, k in solved) == N + 1
+        check_abelian(r)
+        assert pairs() == solved
+        for mm in range(4, N + 1):
+            finiteness_test(r, mm)
+        swept = pairs()
+        assert len(swept) > len(solved)
+        assert len(swept) == len(set(swept))
 
 
 class TestCommutingShortcut:
@@ -225,6 +309,18 @@ class TestFlatSections:
         s5 = flat_section(r_curved, a0, 5)
         s7 = flat_section(r_curved, a0, 7)
         assert s7.series.truncate(5) == s5.series.truncate(5)
+
+    def test_sweep_oracle_agrees(self, r_curved, poly2, const4):
+        rng = random.Random(26)
+        cases = [(r_curved, 6), (abelian_r(*poly2, 5), 5), (abelian_r(*const4, 4), 4)]
+        for r, N in cases:
+            dim = r.manifold.dim
+            for _ in range(2):
+                a0 = rand_poly(rng, dim, deg=2, terms=3)
+                s = flat_section(r, a0, N)
+                want = flat_section_sweeps(r, a0, N)
+                assert s.series == want
+                assert s.series.known_through == want.known_through == N
 
     def test_guards(self, r_curved):
         with pytest.raises(TruncationError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fedosov.poly import BasePolynomial, format_poly
-from fedosov.scalars import GaussianRational, ONE, ZERO, factorial_ratio, format_scalar, i_power
+from fedosov.scalars import GaussianRational, ONE, ZERO, format_scalar, i_power
 from fedosov.weyl import wedge_normalize
 
 from conftest import rand_poly, rand_scalar
@@ -70,20 +70,6 @@ class TestGaussianRational:
         assert format_scalar(GaussianRational(Fraction(0), Fraction(-1, 2))) == "-1/2*i"
         assert format_scalar(GaussianRational(Fraction(1), Fraction(1, 2))) == "1+1/2*i"
         assert format_scalar(GaussianRational(Fraction(2), Fraction(-1))) == "2-i"
-
-
-class TestFactorialRatio:
-    def test_examples(self):
-        assert factorial_ratio([4], [2, 2]) == 6
-        assert factorial_ratio([0], [0]) == 1
-        assert factorial_ratio([10], [10]) == 1
-        assert factorial_ratio([5, 3], [4]) == 30
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            factorial_ratio([-1], [])
-        with pytest.raises(ValueError):
-            factorial_ratio([2], [-3])
 
 
 class TestBasePolynomial:
