@@ -15,7 +15,6 @@ from .abelian import (
     FinitenessResult,
     FlatSection,
     abelian_r,
-    abelian_r_iterative,
     check_abelian,
     commuting_case_degree,
     finiteness_test,

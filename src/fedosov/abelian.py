@@ -11,10 +11,12 @@ r[z] = delta_inv source(z), with
     source(z) = covariant_d r[z-1] + (1/i hbar) sum_{j+k=z+1} r[j] o r[k]
 
 (j, k >= 3), whose components are one-forms of degree z with fiber length
->= 1 and even hbar powers only.  Each correction keeps a table of the
-products r[j] o r[k], formed at most once: the solver, check_abelian and
-the closure system of finiteness_test all read their sources from it.
-Flat sections are lifted from their X-free parts by the same graded
+>= 1 and even hbar powers only.  For one-forms r[j] o r[k] + r[k] o r[j]
+is the graded commutator [r[j], r[k]], so the sum pairs into one bracket
+per unordered pair j <= k, halved when j = k.  Each correction keeps a
+table of these brackets and of the sources, each formed at most once: the
+solver, check_abelian and the closure system of finiteness_test all read
+it.  Flat sections are lifted from their X-free parts by the same graded
 step, with commutators [r[j], a[w]] in place of the products, and the
 star product of two observables is the projection of the circle product
 of their lifts.
@@ -23,11 +25,13 @@ of their lifts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 from .calculus import covariant_d, delta, delta_inv
 from .geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
 from .poly import BasePolynomial
+from .scalars import _accumulate
 from .weyl import TruncationError, WeylSeries, div_ihbar
 
 
@@ -43,9 +47,9 @@ class AbelianCorrection:
     connection: ConnectionSpec
     parts: dict[int, WeylSeries]
     known_through: int
-    # (j, k) -> r[j] o r[k], filled on demand from `parts`, which must not
-    # change once a product has been read
-    _products: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # filled on demand from `parts`, which must not change once read:
+    # (j, k) with j <= k -> [r[j], r[k]], halved when j == k, and z -> source(z)
+    _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def part(self, z: int) -> WeylSeries:
         if z < 3:
@@ -71,16 +75,23 @@ class AbelianCorrection:
     def _gamma(self) -> WeylSeries:
         return gamma_form(self.manifold, self.connection)
 
-    def _product(self, j: int, k: int) -> WeylSeries:
-        p = self._products.get((j, k))
+    def _pair(self, j: int, k: int) -> WeylSeries:
+        """r[j] o r[k] + r[k] o r[j] for j < k, and r[j] o r[j] for j == k."""
+        p = self._table.get((j, k))
         if p is None:
-            p = self._products[(j, k)] = self.manifold.algebra.circ(self.part(j), self.part(k))
+            p = self.manifold.algebra.commutator(self.part(j), self.part(k))
+            if j == k:
+                p = p.scale(Fraction(1, 2))
+            self._table[(j, k)] = p
         return p
 
     def _source(self, z: int) -> WeylSeries:
         """covariant_d r[z-1] + (1/i hbar) sum_{j+k=z+1} r[j] o r[k]."""
-        prods = [self._product(j, z + 1 - j) for j in range(3, z - 1)]
-        return _step(self, self.part(z - 1), prods)
+        s = self._table.get(z)
+        if s is None:
+            pairs = [self._pair(j, z + 1 - j) for j in range(3, (z + 1) // 2 + 1)]
+            s = self._table[z] = _step(self, self.part(z - 1), pairs)
+        return s
 
 
 def _step(r: AbelianCorrection, prev: WeylSeries, prods) -> WeylSeries:
@@ -99,30 +110,6 @@ def abelian_r(m: ManifoldSpec, c: ConnectionSpec, N: int) -> AbelianCorrection:
         r.parts[z] = delta_inv(r._source(z))
         r.known_through = z
     return r
-
-
-def abelian_r_iterative(m: ManifoldSpec, c: ConnectionSpec, steps: int, N: int) -> AbelianCorrection:
-    """Whole-series fixed point r <- delta_inv(R + covariant_d r + (1/i hbar) r o r).
-
-    After `steps` >= N sweeps the grades through N have stabilized and
-    agree with the graded solver.
-    """
-    if N < 3:
-        raise ValueError("need N >= 3")
-    if steps < N:
-        raise ValueError(f"need steps >= N for grades through {N} to settle")
-    alg = m.algebra
-    gamma = gamma_form(m, c)
-    R = curvature_form(m, c)
-    r = WeylSeries.zero(m.dim, known_through=N)
-    for _ in range(steps):
-        source = R + covariant_d(alg, gamma, r)
-        sq = alg.circ(r, r)
-        if not sq.is_zero():
-            source = source + div_ihbar(sq)
-        r = delta_inv(source).truncate(N)
-    parts = {z: r.homogeneous_part(z) for z in range(3, N + 1)}
-    return AbelianCorrection(m, c, parts, known_through=N)
 
 
 @dataclass
@@ -213,7 +200,8 @@ def finiteness_test(r: AbelianCorrection, m_param: int) -> FinitenessResult:
 
     Equation at z = m:      source(m) = 0, the solver's own source
     and for m < z <= 2m-3:  sum_j r[j] o r[z+1-j] = 0 over the j with both
-    factors below degree m; the last is r[m-1] o r[m-1] = 0.
+    factors below degree m; the last is r[m-1] o r[m-1] = 0.  The range of j
+    is symmetric under j -> z+1-j, so each sum is read from its lower half.
     """
     if m_param < 4:
         raise ValueError("need m >= 4")
@@ -224,8 +212,8 @@ def finiteness_test(r: AbelianCorrection, m_param: int) -> FinitenessResult:
     mm = m_param
     equations = [(mm, r._source(mm))]
     for z in range(mm + 1, 2 * mm - 2):
-        js = range(max(3, z + 2 - mm), min(mm - 1, z - 2) + 1)
-        equations.append((z, sum((r._product(j, z + 1 - j) for j in js),
+        js = range(max(3, z + 2 - mm), (z + 1) // 2 + 1)
+        equations.append((z, sum((r._pair(j, z + 1 - j) for j in js),
                                  WeylSeries.zero(r.manifold.dim))))
     bad = [(z, eq) for z, eq in equations if not eq.is_zero()]
     return FinitenessResult(mm, tuple(z for z, _ in bad), bad[0][1] if bad else None)
@@ -249,27 +237,25 @@ def commuting_case_degree(m: ManifoldSpec, c: ConnectionSpec, z_max: int) -> Com
     """
     if z_max < 4:
         raise ValueError("need z_max >= 4")
-    alg = m.algebra
-    gamma = gamma_form(m, c)
     R = curvature_form(m, c)
     if R.is_zero():
         return CommutingCaseResult(kind="zero-curvature", r_degree=None)
 
-    parts = {3: delta_inv(R)}
-    source = R
+    r = AbelianCorrection(m, c, {3: delta_inv(R)}, known_through=3)
     found = None
     for z in range(4, z_max + 1):
-        source = covariant_d(alg, gamma, delta_inv(source))
+        source = _step(r, r.part(z - 1), [])
         if source.is_zero():
             found = z
             break
-        parts[z] = delta_inv(source)
+        r.parts[z] = delta_inv(source)
+        r.known_through = z
 
-    for j in sorted(parts):
-        for k in sorted(parts):
+    for j in sorted(r.parts):
+        for k in sorted(r.parts):
             if k < j:
                 continue
-            if not alg.circ(parts[j], parts[k]).is_zero():
+            if not m.algebra.circ(r.parts[j], r.parts[k]).is_zero():
                 raise CommutingHypothesisError(
                     f"r[{j}] o r[{k}] != 0: commuting shortcut does not apply"
                 )
@@ -350,10 +336,5 @@ def star_hbar(m: ManifoldSpec, c: ConnectionSpec, a: dict[int, BasePolynomial],
                 continue
             piece = star(m, c, pa, pb, K - ja - jb, r=r)
             for k, p in piece.items():
-                acc = out.get(ja + jb + k)
-                p = p if acc is None else acc + p
-                if p.is_zero():
-                    out.pop(ja + jb + k, None)
-                else:
-                    out[ja + jb + k] = p
+                _accumulate(out, ja + jb + k, p)
     return out

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _accumulate
 
 
 class BasePolynomial:
@@ -26,15 +26,7 @@ class BasePolynomial:
                 exps = tuple(exps)
                 if len(exps) != dim or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps} for dim {dim}")
-                c = GaussianRational.of(c)
-                if not c:
-                    continue
-                acc = terms.get(exps)
-                c = c if acc is None else acc + c
-                if c:
-                    terms[exps] = c
-                elif exps in terms:
-                    del terms[exps]
+                _accumulate(terms, exps, GaussianRational.of(c))
         self._coeffs = terms
 
     @classmethod
@@ -96,12 +88,7 @@ class BasePolynomial:
         self._check(other)
         out = dict(self._coeffs)
         for exps, c in other._coeffs.items():
-            acc = out.get(exps)
-            c = c if acc is None else acc + c
-            if c:
-                out[exps] = c
-            elif exps in out:
-                del out[exps]
+            _accumulate(out, exps, c)
         return BasePolynomial(self.dim, out)
 
     def __sub__(self, other):
@@ -127,14 +114,7 @@ class BasePolynomial:
         out: dict[tuple[int, ...], GaussianRational] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                acc = out.get(e)
-                c = c if acc is None else acc + c
-                if c:
-                    out[e] = c
-                elif e in out:
-                    del out[e]
+                _accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return BasePolynomial(self.dim, out)
 
     def __rmul__(self, other):

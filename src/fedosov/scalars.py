@@ -102,6 +102,16 @@ def i_power(t: int) -> GaussianRational:
     return (ONE, I, -ONE, -I)[t % 4]
 
 
+def _accumulate(data: dict, key, value) -> None:
+    """data[key] += value, with a zero sum removed rather than stored."""
+    acc = data.get(key)
+    value = value if acc is None else acc + value
+    if value:
+        data[key] = value
+    else:
+        data.pop(key, None)
+
+
 def format_scalar(v: GaussianRational) -> str:
     """Canonical literal: '0', '3/4', 'i', '-1/2*i', '1+1/2*i', '2-i'."""
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import BasePolynomial
-from .scalars import GaussianRational, i_power
+from .scalars import GaussianRational, _accumulate, i_power
 
 
 class TruncationError(ValueError):
@@ -106,18 +106,10 @@ class WeylSeries:
                 raise ValueError(f"wedge index {j} out of range 1..{self.dim}")
         if coeff.dim != self.dim:
             raise ValueError("coefficient dimension mismatch")
-        if coeff.is_zero():
-            return
         deg = 2 * hbar + sum(fiber)
         if self.known_through is not None and deg > self.known_through:
             return  # beyond the asserted range: not representable here
-        key = (hbar, fiber, word)
-        acc = data.get(key)
-        coeff = coeff if acc is None else acc + coeff
-        if coeff:
-            data[key] = coeff
-        elif key in data:
-            del data[key]
+        _accumulate(data, (hbar, fiber, word), coeff)
 
     @classmethod
     def zero(cls, dim: int, known_through=None) -> "WeylSeries":
@@ -215,13 +207,6 @@ class WeylSeries:
         out = WeylSeries(self.dim)
         for (k, f, w), c in self._terms.items():
             if 2 * k + sum(f) == z:
-                out._terms[(k, f, w)] = c
-        return out
-
-    def form_part(self, m: int) -> "WeylSeries":
-        out = WeylSeries(self.dim, known_through=self.known_through)
-        for (k, f, w), c in self._terms.items():
-            if len(w) == m:
                 out._terms[(k, f, w)] = c
         return out
 
@@ -379,7 +364,9 @@ class WeylAlgebra:
             )
         return cap
 
-    def _product(self, a: WeylSeries, b: WeylSeries, eff) -> WeylSeries:
+    def _product(self, a: WeylSeries, b: WeylSeries, eff, odd=False) -> WeylSeries:
+        """Sum of the contractions C_t of every term pair through degree eff;
+        with odd=True only the odd orders t, doubled."""
         out = WeylSeries(self.dim, known_through=eff)
         for (k1, f1, w1), c1 in a._terms.items():
             d1 = 2 * k1 + sum(f1)
@@ -389,10 +376,15 @@ class WeylAlgebra:
                 word, sign = wedge_normalize(w1 + w2, self.dim)
                 if sign == 0:
                     continue
+                contractions = self._contractions(f1, f2)
+                if odd:
+                    contractions = [(t, 2 * s, ll, rl) for t, s, ll, rl in contractions if t % 2]
+                    if not contractions:
+                        continue
                 base = c1 * c2
                 if sign < 0:
                     base = -base
-                for t, scalar, left_loss, right_loss in self._contractions(f1, f2):
+                for t, scalar, left_loss, right_loss in contractions:
                     fiber = tuple(
                         f1[i] + f2[i] - left_loss[i] - right_loss[i]
                         for i in range(self.dim)
@@ -449,26 +441,16 @@ class WeylAlgebra:
     # -- graded commutator ---------------------------------------------
 
     def commutator(self, a: WeylSeries, b: WeylSeries, cap=None) -> WeylSeries:
-        """[a, b] = a o b - (-1)^{m1*m2} b o a, split over form degrees.
+        """[a, b] = a o b - (-1)^{m1*m2} b o a for terms of form degrees m1, m2.
 
-        The degree-0 contraction block cancels identically, so the result
-        is always divisible by i*hbar.  Forms free of X are central.
+        Swapping a term pair multiplies its order-t contraction C_t by
+        (-1)^t, because omega is antisymmetric, and its wedge word by
+        (-1)^{m1*m2}.  So [a, b] = 2 sum_{t odd} C_t(a, b) whatever the form
+        degrees, formed in one product pass.  Every term has t >= 1, so the
+        result is divisible by i*hbar, and forms free of X are central.
         """
         eff = self._effective_cap(a, b, cap, fiber_only=True)
-        out = WeylSeries(a.dim, known_through=eff)
-        a_parts = {m: a.form_part(m) for m in a.form_degrees()}
-        b_parts = {m: b.form_part(m) for m in b.form_degrees()}
-        for m1, ap in a_parts.items():
-            for m2, bp in b_parts.items():
-                left = self._product(ap, bp, eff)
-                right = self._product(bp, ap, eff)
-                if (m1 * m2) % 2:
-                    piece = left + right
-                else:
-                    piece = left - right
-                for (k, f, w), c in piece._terms.items():
-                    out._insert(out._terms, k, f, w, c)
-        return out
+        return self._product(a, b, eff, odd=True)
 
 
 # --- grading helpers ----------------------------------------------------
@@ -493,12 +475,7 @@ def sigma(a: WeylSeries) -> dict[int, BasePolynomial]:
             raise ValueError("sigma applies to form-degree-0 series only")
         if any(f):
             continue
-        acc = out.get(k)
-        acc = c if acc is None else acc + c
-        if acc:
-            out[k] = acc
-        elif k in out:
-            del out[k]
+        _accumulate(out, k, c)
     return out
 
 

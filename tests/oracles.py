@@ -1,0 +1,56 @@
+"""Reference routes the tests compare the library against.
+
+Each computes a result the library also computes, by a slower and more
+direct route: the whole-series fixed point for the graded solver, and two
+full products per pair of form degrees for the one-pass commutator.
+"""
+
+from fedosov.abelian import AbelianCorrection
+from fedosov.calculus import covariant_d, delta_inv
+from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
+from fedosov.weyl import WeylAlgebra, WeylSeries, div_ihbar
+
+
+def abelian_r_iterative(m: ManifoldSpec, c: ConnectionSpec, steps: int, N: int) -> AbelianCorrection:
+    """Whole-series fixed point r <- delta_inv(R + covariant_d r + (1/i hbar) r o r).
+
+    After `steps` >= N sweeps the grades through N have stabilized and
+    agree with the graded solver.
+    """
+    if N < 3:
+        raise ValueError("need N >= 3")
+    if steps < N:
+        raise ValueError(f"need steps >= N for grades through {N} to settle")
+    alg = m.algebra
+    gamma = gamma_form(m, c)
+    R = curvature_form(m, c)
+    r = WeylSeries.zero(m.dim, known_through=N)
+    for _ in range(steps):
+        source = R + covariant_d(alg, gamma, r)
+        sq = alg.circ(r, r)
+        if not sq.is_zero():
+            source = source + div_ihbar(sq)
+        r = delta_inv(source).truncate(N)
+    parts = {z: r.homogeneous_part(z) for z in range(3, N + 1)}
+    return AbelianCorrection(m, c, parts, known_through=N)
+
+
+def commutator_two_products(alg: WeylAlgebra, a: WeylSeries, b: WeylSeries, cap=None) -> WeylSeries:
+    """[a, b] = a o b - (-1)^{m1*m2} b o a, split over form degrees, with
+    both full products formed through the commutator's own degree bound."""
+    eff = alg._effective_cap(a, b, cap, fiber_only=True)
+
+    def form_part(s, m):
+        return WeylSeries(s.dim, {key: c for key, c in s._terms.items() if len(key[2]) == m},
+                          known_through=s.known_through)
+
+    out = WeylSeries(a.dim, known_through=eff)
+    for m1 in a.form_degrees():
+        for m2 in b.form_degrees():
+            ap, bp = form_part(a, m1), form_part(b, m2)
+            left = alg._product(ap, bp, eff)
+            right = alg._product(bp, ap, eff)
+            piece = left + right if (m1 * m2) % 2 else left - right
+            for (k, f, w), c in piece._terms.items():
+                out._insert(out._terms, k, f, w, c)
+    return out

@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from fedosov import abelian
 from fedosov.abelian import (
     AbelianCorrection,
     CommutingHypothesisError,
     abelian_r,
-    abelian_r_iterative,
     check_abelian,
     commuting_case_degree,
     finiteness_test,
@@ -23,6 +23,7 @@ from fedosov.scalars import GaussianRational, I, ONE
 from fedosov.weyl import TruncationError, WeylAlgebra, WeylSeries, div_ihbar
 
 from conftest import rand_poly
+from oracles import abelian_r_iterative
 
 HALF_I = GaussianRational(0, Fraction(1, 2))
 
@@ -226,33 +227,49 @@ class TestFiniteness:
 
 class TestProductSharing:
     def test_each_pair_formed_once(self, curved2, monkeypatch):
-        formed = []
-        circ = WeylAlgebra.circ
+        formed, bracketed, derivatives = [], [], []
+        circ, commutator, cov_d = WeylAlgebra.circ, WeylAlgebra.commutator, abelian.covariant_d
 
-        def counting(alg, a, b, cap=None):
+        def counting_circ(alg, a, b, cap=None):
             formed.append((a, b))
             return circ(alg, a, b, cap)
 
-        monkeypatch.setattr(WeylAlgebra, "circ", counting)
+        def counting_commutator(alg, a, b, cap=None):
+            bracketed.append((a, b))
+            return commutator(alg, a, b, cap)
+
+        def counting_cov_d(*args, **kwargs):
+            derivatives.append(args)
+            return cov_d(*args, **kwargs)
+
+        monkeypatch.setattr(WeylAlgebra, "circ", counting_circ)
+        monkeypatch.setattr(WeylAlgebra, "commutator", counting_commutator)
+        monkeypatch.setattr(abelian, "covariant_d", counting_cov_d)
         m, c = curved2
         N = 9
         r = abelian_r(m, c, N)
         grade = {id(p): z for z, p in r.parts.items()}
 
-        def pairs():
-            # r[j] o r[k] only; the curvature's own gamma o gamma is not a pair
-            return [(grade[id(a)], grade[id(b)]) for a, b in formed
+        def pairs(calls):
+            # r[j] with r[k] only; covariant_d's [gamma, a] is not a pair
+            return [(grade[id(a)], grade[id(b)]) for a, b in calls
                     if id(a) in grade and id(b) in grade]
 
-        solved = pairs()
+        solved = pairs(bracketed)
         assert solved and max(j + k for j, k in solved) == N + 1
+        assert all(j <= k for j, k in solved)
+        assert len(derivatives) == N - 3  # one per solved grade
+        derivatives.clear()
         check_abelian(r)
-        assert pairs() == solved
+        assert pairs(bracketed) == solved
         for mm in range(4, N + 1):
             finiteness_test(r, mm)
-        swept = pairs()
+        swept = pairs(bracketed)
         assert len(swept) > len(solved)
         assert len(swept) == len(set(swept))
+        assert all(j <= k for j, k in swept)
+        assert pairs(formed) == []
+        assert derivatives == []
 
 
 class TestCommutingShortcut:

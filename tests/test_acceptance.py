@@ -14,7 +14,6 @@ import pytest
 
 from fedosov.abelian import (
     abelian_r,
-    abelian_r_iterative,
     check_abelian,
     commuting_case_degree,
     finiteness_test,
@@ -48,6 +47,7 @@ from conftest import (
     rand_poly,
     rand_series,
 )
+from oracles import abelian_r_iterative
 
 
 @contextlib.contextmanager

@@ -17,6 +17,7 @@ from fedosov.weyl import (
 )
 
 from conftest import rand_homogeneous, rand_poly, rand_series
+from oracles import commutator_two_products
 
 ALG2 = WeylAlgebra(2)
 ALG4 = WeylAlgebra(4)
@@ -145,6 +146,28 @@ class TestCirc:
             ALG2.circ(a, b, cap=5)
         prod = ALG2.circ(a, b, cap=3)
         assert prod.known_through == 3
+
+    def test_commutator_matches_two_products(self):
+        # the one-pass odd-order bracket against a o b -+ b o a formed per
+        # pair of form degrees, on mixed form degrees 0..2 and truncated operands
+        custom = WeylAlgebra(4, [[0, 2, 1, 0], [-2, 0, 0, Fraction(-1, 2)],
+                                 [-1, 0, 0, 3], [0, Fraction(1, 2), -3, 0]])
+        rng = random.Random(27)
+        nonzero = 0
+        for alg in (ALG2, ALG4, custom):
+            for cut_a, cut_b, cap in ((None, None, None), (None, None, 5), (5, None, None),
+                                      (None, 6, None), (6, 4, None)):
+                for _ in range(3):
+                    a = rand_series(rng, alg.dim, terms=4, max_fiber=1)
+                    b = rand_series(rng, alg.dim, terms=4, max_fiber=1)
+                    a = a if cut_a is None else a.truncate(cut_a)
+                    b = b if cut_b is None else b.truncate(cut_b)
+                    got = alg.commutator(a, b, cap)
+                    want = commutator_two_products(alg, a, b, cap)
+                    assert got == want
+                    assert got.known_through == want.known_through
+                    nonzero += not got.is_zero()
+        assert nonzero > 35
 
     def test_custom_omega(self):
         # doubled symplectic pairing doubles the commutator
