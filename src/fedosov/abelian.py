@@ -308,7 +308,8 @@ def flatness_residual(r: AbelianCorrection, section: FlatSection) -> WeylSeries:
 def star(m: ManifoldSpec, c: ConnectionSpec, a0: BasePolynomial, b0: BasePolynomial,
          K: int, r: AbelianCorrection | None = None) -> dict[int, BasePolynomial]:
     """Star product through hbar^K: lift both observables to flat sections
-    through grade 2K, multiply, project with sigma."""
+    through grade 2K, multiply, project with sigma.  Only the X-free terms
+    of the product are formed, since sigma drops every other one."""
     from .weyl import sigma
 
     if K < 0:
@@ -319,7 +320,7 @@ def star(m: ManifoldSpec, c: ConnectionSpec, a0: BasePolynomial, b0: BasePolynom
         raise TruncationError(f"need r through {2 * K}, known through {r.known_through}")
     sa = flat_section(r, a0, 2 * K)
     sb = flat_section(r, b0, 2 * K)
-    prod = m.algebra.circ(sa.series, sb.series, cap=2 * K)
+    prod = m.algebra._xfree(sa.series, sb.series, cap=2 * K)
     return {k: p for k, p in sigma(prod).items() if k <= K}
 
 

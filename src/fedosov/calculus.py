@@ -31,7 +31,7 @@ def delta(a: WeylSeries) -> WeylSeries:
             if sign == 0:
                 continue
             fiber = f[:i] + (e - 1,) + f[i + 1 :]
-            out._insert(out._terms, k, fiber, word, c * (sign * e))
+            out._add_term(out._terms, k, fiber, word, c * (sign * e))
     return out
 
 
@@ -47,7 +47,7 @@ def delta_inv(a: WeylSeries) -> WeylSeries:
             sign = -1 if pos % 2 else 1
             fiber = f[: j - 1] + (f[j - 1] + 1,) + f[j:]
             word = w[:pos] + w[pos + 1 :]
-            out._insert(out._terms, k, fiber, word, c * (sign * scale))
+            out._add_term(out._terms, k, fiber, word, c * (sign * scale))
     return out
 
 
@@ -63,7 +63,7 @@ def ext_d(a: WeylSeries) -> WeylSeries:
                 continue
             if sign < 0:
                 dc = -dc
-            out._insert(out._terms, k, f, word, dc)
+            out._add_term(out._terms, k, f, word, dc)
     return out
 
 

@@ -13,6 +13,12 @@ A series carries ``known_through``: the degree bound through which its
 graded components are asserted exact.  ``None`` means the stored terms are
 the whole series.  Operations propagate this bound and refuse requests
 that would read past it, so truncation can never silently corrupt a grade.
+Only the public constructors validate terms; the operators here store
+terms they built themselves unchecked, keeping the known_through cut.
+
+Every product reads one contraction kernel per omega: for a pair of fiber
+exponents the list of (hbar shift, output fiber, scalar) terms, built once
+per process and shared by all algebras with the same omega.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import BasePolynomial
-from .scalars import GaussianRational, _accumulate, i_power
+from .scalars import GaussianRational, _accumulate
 
 
 class TruncationError(ValueError):
@@ -106,10 +112,12 @@ class WeylSeries:
                 raise ValueError(f"wedge index {j} out of range 1..{self.dim}")
         if coeff.dim != self.dim:
             raise ValueError("coefficient dimension mismatch")
-        deg = 2 * hbar + sum(fiber)
-        if self.known_through is not None and deg > self.known_through:
-            return  # beyond the asserted range: not representable here
-        _accumulate(data, (hbar, fiber, word), coeff)
+        self._add_term(data, hbar, fiber, word, coeff)
+
+    def _add_term(self, data, hbar, fiber, word, coeff):
+        """Accumulate a well-formed term, dropping it past known_through."""
+        if self.known_through is None or 2 * hbar + sum(fiber) <= self.known_through:
+            _accumulate(data, (hbar, fiber, word), coeff)
 
     @classmethod
     def zero(cls, dim: int, known_through=None) -> "WeylSeries":
@@ -171,7 +179,7 @@ class WeylSeries:
         out = WeylSeries(self.dim, known_through=_min_known(self.known_through, other.known_through))
         for src in (self._terms, other._terms):
             for (k, f, w), c in src.items():
-                out._insert(out._terms, k, f, w, c)
+                out._add_term(out._terms, k, f, w, c)
         return out
 
     def __sub__(self, other):
@@ -195,7 +203,7 @@ class WeylSeries:
         known = cap if self.known_through is None else min(self.known_through, cap)
         out = WeylSeries(self.dim, known_through=known)
         for (k, f, w), c in self._terms.items():
-            out._insert(out._terms, k, f, w, c)
+            out._add_term(out._terms, k, f, w, c)
         return out
 
     def homogeneous_part(self, z: int) -> "WeylSeries":
@@ -303,6 +311,53 @@ def _product_valid_through(a: WeylSeries, b: WeylSeries, fiber_only: bool = Fals
     return min(bounds) if bounds else None
 
 
+# --- the contraction kernel ---------------------------------------------
+
+_CIRC, _COMMUTATOR, _XFREE = range(3)
+
+# omega's nonzero pairs -> {(alpha, beta, mode): kernel}, shared by every
+# algebra with the same omega; each kernel is built once per process
+_KERNELS: dict = {}
+
+
+def _kernel(pairs, alpha, beta, mode) -> tuple:
+    """The terms of X^alpha o X^beta as (t, output fiber, scalar).
+
+    A contraction multi-index mu on the pairs (i, j, w) contributes
+    (i/2)^t prod w^mu / mu! times the falling factorials of the
+    derivatives, t = |mu|.  Mode _CIRC keeps every t, _COMMUTATOR the odd
+    t doubled and _XFREE only the terms whose output fiber is zero.
+    """
+    out = []
+
+    def rec(idx, la, lb, t, scale):
+        if idx == len(pairs):
+            fiber = tuple(x + y for x, y in zip(la, lb))
+            if mode == _COMMUTATOR:
+                if not t % 2:
+                    return
+                scale *= 2
+            elif mode == _XFREE and any(fiber):
+                return
+            f = scale / 2**t
+            out.append((t, fiber, GaussianRational(*((f, 0), (0, f), (-f, 0), (0, -f))[t % 4])))
+            return
+        i, j, w = pairs[idx]
+        mmax = min(la[i], lb[j])
+        for m in range(mmax + 1):
+            if m:
+                # one more contraction on (i, j): X^i and X^j each lose a power
+                scale = scale * w * la[i] * lb[j] / m
+                la[i] -= 1
+                lb[j] -= 1
+            rec(idx + 1, la, lb, t + m, scale)
+        la[i] += mmax
+        lb[j] += mmax
+
+    rec(0, list(alpha), list(beta), 0, Fraction(1))
+    return tuple(out)
+
+
 class WeylAlgebra:
     """The circle product on Weyl series for a fixed constant omega^{ij}.
 
@@ -310,7 +365,7 @@ class WeylAlgebra:
     omega^{2a-1,2a} = +1, so that X^1 o X^2 - X^2 o X^1 = i*hbar.
     """
 
-    __slots__ = ("dim", "omega_upper", "_pairs")
+    __slots__ = ("dim", "omega_upper", "_pairs", "_kernels")
 
     def __init__(self, dim: int, omega_upper=None):
         if dim < 2 or dim % 2:
@@ -332,6 +387,7 @@ class WeylAlgebra:
             for j in range(dim)
             if self.omega_upper[i][j]
         )
+        self._kernels = _KERNELS.setdefault(self._pairs, {})
 
     # -- product --------------------------------------------------------
 
@@ -345,6 +401,8 @@ class WeylAlgebra:
                     * d^mu_left(X^alpha) * d^mu_right(X^beta)
 
         Degrees add: every product term has degree deg(a_term) + deg(b_term).
+        The terms for a pair of fibers are read from the algebra's memoized
+        kernel, so each scalar is computed once per omega and fiber pair.
         Raises TruncationError when `cap` exceeds what the operands' own
         truncation bounds can determine.
         """
@@ -364,79 +422,32 @@ class WeylAlgebra:
             )
         return cap
 
-    def _product(self, a: WeylSeries, b: WeylSeries, eff, odd=False) -> WeylSeries:
-        """Sum of the contractions C_t of every term pair through degree eff;
-        with odd=True only the odd orders t, doubled."""
+    def _product(self, a: WeylSeries, b: WeylSeries, eff, mode=_CIRC) -> WeylSeries:
+        """Sum of the kernel terms of every term pair through degree eff."""
         out = WeylSeries(self.dim, known_through=eff)
+        terms, kernels = out._terms, self._kernels
+        right = [(k2, f2, w2, c2, 2 * k2 + sum(f2)) for (k2, f2, w2), c2 in b._terms.items()]
         for (k1, f1, w1), c1 in a._terms.items():
             d1 = 2 * k1 + sum(f1)
-            for (k2, f2, w2), c2 in b._terms.items():
-                if eff is not None and d1 + 2 * k2 + sum(f2) > eff:
+            for k2, f2, w2, c2, d2 in right:
+                if eff is not None and d1 + d2 > eff:
+                    continue
+                kernel = kernels.get((f1, f2, mode))
+                if kernel is None:
+                    kernel = kernels[(f1, f2, mode)] = _kernel(self._pairs, f1, f2, mode)
+                if not kernel:
                     continue
                 word, sign = wedge_normalize(w1 + w2, self.dim)
                 if sign == 0:
                     continue
-                contractions = self._contractions(f1, f2)
-                if odd:
-                    contractions = [(t, 2 * s, ll, rl) for t, s, ll, rl in contractions if t % 2]
-                    if not contractions:
-                        continue
-                base = c1 * c2
-                if sign < 0:
-                    base = -base
-                for t, scalar, left_loss, right_loss in contractions:
-                    fiber = tuple(
-                        f1[i] + f2[i] - left_loss[i] - right_loss[i]
-                        for i in range(self.dim)
-                    )
-                    out._insert(out._terms, k1 + k2 + t, fiber, word, base.scale(scalar))
+                base = c1 * c2 if sign > 0 else -(c1 * c2)
+                for t, fiber, scalar in kernel:
+                    _accumulate(terms, (k1 + k2 + t, fiber, word), base.scale(scalar))
         return out
 
-    def _contractions(self, alpha, beta):
-        """Yield (t, scalar, left_derivative_counts, right_derivative_counts)."""
-        pairs = self._pairs
-        n = len(pairs)
-        results = []
-
-        def rec(idx, la, lb, mu):
-            if idx == n:
-                t = sum(mu)
-                # (i/2)^t / prod(mu!)  *  prod weight^mu  *  falling factorials
-                scalar = i_power(t) * Fraction(1, 2**t)
-                for p, m in enumerate(mu):
-                    if m:
-                        w = pairs[p][2] ** m
-                        fact = 1
-                        for x in range(2, m + 1):
-                            fact *= x
-                        scalar = scalar * Fraction(w, fact)
-                left = [0] * self.dim
-                right = [0] * self.dim
-                for p, m in enumerate(mu):
-                    if m:
-                        left[pairs[p][0]] += m
-                        right[pairs[p][1]] += m
-                ff = 1
-                for i in range(self.dim):
-                    for x in range(alpha[i] - left[i] + 1, alpha[i] + 1):
-                        ff *= x
-                    for x in range(beta[i] - right[i] + 1, beta[i] + 1):
-                        ff *= x
-                results.append((t, scalar * ff, tuple(left), tuple(right)))
-                return
-            i, j, _w = pairs[idx]
-            mmax = min(la[i], lb[j])
-            for m in range(mmax + 1):
-                la[i] -= m
-                lb[j] -= m
-                mu.append(m)
-                rec(idx + 1, la, lb, mu)
-                mu.pop()
-                la[i] += m
-                lb[j] += m
-
-        rec(0, list(alpha), list(beta), [])
-        return results
+    def _xfree(self, a: WeylSeries, b: WeylSeries, cap) -> WeylSeries:
+        """The X-free terms of a o b through degree cap: what sigma keeps of it."""
+        return self._product(a, b, self._effective_cap(a, b, cap, fiber_only=False), _XFREE)
 
     # -- graded commutator ---------------------------------------------
 
@@ -450,7 +461,7 @@ class WeylAlgebra:
         result is divisible by i*hbar, and forms free of X are central.
         """
         eff = self._effective_cap(a, b, cap, fiber_only=True)
-        return self._product(a, b, eff, odd=True)
+        return self._product(a, b, eff, _COMMUTATOR)
 
 
 # --- grading helpers ----------------------------------------------------
@@ -487,5 +498,5 @@ def div_ihbar(a: WeylSeries) -> WeylSeries:
     for (k, f, w), c in a._terms.items():
         if k == 0:
             raise DivisibilityError(f"term with hbar^0 not divisible: fiber={f} word={w}")
-        out._insert(out._terms, k - 1, f, w, c * minus_i)
+        out._add_term(out._terms, k - 1, f, w, c * minus_i)
     return out

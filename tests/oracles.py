@@ -1,13 +1,17 @@
 """Reference routes the tests compare the library against.
 
 Each computes a result the library also computes, by a slower and more
-direct route: the whole-series fixed point for the graded solver, and two
-full products per pair of form degrees for the one-pass commutator.
+direct route: the whole-series fixed point for the graded solver, two
+full products per pair of form degrees for the one-pass commutator, and
+the per-call contraction recursion for the memoized product kernel.
 """
+
+from fractions import Fraction
 
 from fedosov.abelian import AbelianCorrection
 from fedosov.calculus import covariant_d, delta_inv
 from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
+from fedosov.scalars import i_power
 from fedosov.weyl import WeylAlgebra, WeylSeries, div_ihbar
 
 
@@ -54,3 +58,51 @@ def commutator_two_products(alg: WeylAlgebra, a: WeylSeries, b: WeylSeries, cap=
             for (k, f, w), c in piece._terms.items():
                 out._insert(out._terms, k, f, w, c)
     return out
+
+
+def contractions_uncached(alg: WeylAlgebra, alpha, beta):
+    """The contractions of X^alpha o X^beta, recomputed on every call, as
+    (t, scalar, left_derivative_counts, right_derivative_counts)."""
+    pairs = alg._pairs
+    n = len(pairs)
+    results = []
+
+    def rec(idx, la, lb, mu):
+        if idx == n:
+            t = sum(mu)
+            # (i/2)^t / prod(mu!)  *  prod weight^mu  *  falling factorials
+            scalar = i_power(t) * Fraction(1, 2**t)
+            for p, m in enumerate(mu):
+                if m:
+                    w = pairs[p][2] ** m
+                    fact = 1
+                    for x in range(2, m + 1):
+                        fact *= x
+                    scalar = scalar * Fraction(w, fact)
+            left = [0] * alg.dim
+            right = [0] * alg.dim
+            for p, m in enumerate(mu):
+                if m:
+                    left[pairs[p][0]] += m
+                    right[pairs[p][1]] += m
+            ff = 1
+            for i in range(alg.dim):
+                for x in range(alpha[i] - left[i] + 1, alpha[i] + 1):
+                    ff *= x
+                for x in range(beta[i] - right[i] + 1, beta[i] + 1):
+                    ff *= x
+            results.append((t, scalar * ff, tuple(left), tuple(right)))
+            return
+        i, j, _w = pairs[idx]
+        mmax = min(la[i], lb[j])
+        for m in range(mmax + 1):
+            la[i] -= m
+            lb[j] -= m
+            mu.append(m)
+            rec(idx + 1, la, lb, mu)
+            mu.pop()
+            la[i] += m
+            lb[j] += m
+
+    rec(0, list(alpha), list(beta), [])
+    return results

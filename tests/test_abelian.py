@@ -20,7 +20,7 @@ from fedosov.calculus import covariant_d, delta_inv
 from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
 from fedosov.poly import BasePolynomial
 from fedosov.scalars import GaussianRational, I, ONE
-from fedosov.weyl import TruncationError, WeylAlgebra, WeylSeries, div_ihbar
+from fedosov.weyl import TruncationError, WeylAlgebra, WeylSeries, div_ihbar, sigma
 
 from conftest import rand_poly
 from oracles import abelian_r_iterative
@@ -403,6 +403,37 @@ class TestStar:
         q = BasePolynomial.variable(2, 1)
         with pytest.raises(TruncationError):
             star(m, c, q, q, 6, r=r_curved)
+
+    def test_projection_matches_full_product(self, curved2, poly2, comm4, monkeypatch):
+        # star forms only the X-free terms of the product of the two lifts;
+        # the old route formed the whole product and projected it
+        custom = ManifoldSpec(4, [[0, 2, 1, 0], [-2, 0, 0, Fraction(-1, 3)],
+                                  [-1, 0, 0, 3], [0, Fraction(1, 3), -3, 0]])
+        cases = [(curved2, 3), (poly2, 2), (comm4, 2),
+                 ((custom, ConnectionSpec(4, [((1, 1, 2), 1), ((2, 3, 4), Fraction(1, 2))])), 2)]
+        formed = []
+        circ = WeylAlgebra.circ
+
+        def counting_circ(alg, a, b, cap=None):
+            formed.append((a, b))
+            return circ(alg, a, b, cap)
+
+        rng = random.Random(29)
+        for (m, c), K in cases:
+            r = abelian_r(m, c, max(3, 2 * K))
+            for _ in range(2):
+                a0 = rand_poly(rng, m.dim, deg=2, terms=3)
+                b0 = rand_poly(rng, m.dim, deg=2, terms=3)
+                monkeypatch.setattr(WeylAlgebra, "circ", counting_circ)
+                got = star(m, c, a0, b0, K, r=r)
+                monkeypatch.setattr(WeylAlgebra, "circ", circ)
+                assert formed == []
+                sa, sb = flat_section(r, a0, 2 * K), flat_section(r, b0, 2 * K)
+                full = sigma(m.algebra.circ(sa.series, sb.series, cap=2 * K))
+                assert got == {k: p for k, p in full.items() if k <= K}
+                assert got
+                with pytest.raises(TruncationError):
+                    m.algebra._xfree(sa.series, sb.series, cap=2 * K + 1)
 
     def test_hbar_expanded_bilinearity(self, curved2, r_curved):
         m, c = curved2

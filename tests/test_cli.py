@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -109,6 +112,20 @@ class TestAbelian:
         a = run(capsys, "abelian", CURVED, "--degree", "5", "--check")
         b = run(capsys, "abelian", CURVED, "--degree", "5", "--check")
         assert a == b
+
+    def test_bytes_independent_of_hash_seed(self):
+        # set and dict order must not reach the output: one process per seed
+        src = str(MANIFESTS.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        for argv in (["abelian", CURVED, "--check", "--out", "json"],
+                     ["star", CURVED, "q1^2 + q2", "q1*q2"]):
+            outs = set()
+            for seed in ("0", "1", "2"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+                proc = subprocess.run([sys.executable, "-m", "fedosov", *argv], env=env,
+                                      capture_output=True, timeout=120, check=True)
+                outs.add(proc.stdout)
+            assert len(outs) == 1 and outs.pop()
 
 
 def _curved_specs():

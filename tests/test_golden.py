@@ -1,16 +1,20 @@
-"""Frozen golden corpus: solver, checks, closure verdicts, flat sections and
-star products on fixed inputs, compared byte for byte with
-tests/golden/corpus.json.
+"""Frozen golden corpus: solver, checks, closure verdicts, flat sections,
+star products and the prop41 transcript on fixed inputs, compared byte for
+byte with tests/golden/corpus.json.
 
 Regenerate the file only when a change of output is intended:
 
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import contextlib
+import io
 import json
 import pathlib
+import random
 import sys
 
+from fedosov import cli, weyl
 from fedosov.abelian import (
     AbelianCorrection,
     abelian_r,
@@ -22,6 +26,7 @@ from fedosov.abelian import (
 from fedosov.geometry import ConnectionSpec, ManifoldSpec
 from fedosov.manifest import load_manifest, parse_poly, series_to_records
 from fedosov.poly import BasePolynomial, format_poly
+from fedosov.twodim import random_table, square_check
 from fedosov.weyl import WeylSeries
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -29,6 +34,8 @@ CORPUS = ROOT / "tests" / "golden" / "corpus.json"
 N = 10
 LIFT_GRADE = 6
 STAR_ORDER = 3
+PROP41_Z = range(1, 7)
+PROP41_TRIALS = 3
 
 OBSERVABLES = {
     2: ["q1", "q1*q2", "q1^2 - 1/2*q2 + 3"],
@@ -105,8 +112,26 @@ def connection_entry(m, c):
     return entry
 
 
+def prop41_entry():
+    """`fedosov prop41 --z z --trials T --seed z` output, with the squares
+    its trials form, for each z."""
+    entry = {}
+    for z in PROP41_Z:
+        argv = ["prop41", "--z", str(z), "--trials", str(PROP41_TRIALS), "--seed", str(z)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        rng = random.Random(z)
+        squares = [series_to_records(square_check(random_table(z, rng).to_form()).square)
+                   for _ in range(PROP41_TRIALS)]
+        entry[str(z)] = {"exit": code, "stdout": out.getvalue(), "squares": squares}
+    return entry
+
+
 def corpus() -> dict:
-    return {name: connection_entry(m, c) for name, (m, c) in connections().items()}
+    data = {name: connection_entry(m, c) for name, (m, c) in connections().items()}
+    data["prop41"] = prop41_entry()
+    return data
 
 
 def dump(data: dict) -> str:
@@ -119,6 +144,25 @@ def test_golden_corpus_byte_identical():
     # compare structures first so that a failure names the differing entry
     assert got == json.loads(want)
     assert dump(got) == want
+
+
+def test_results_independent_of_kernel_table(monkeypatch):
+    # one golden entry, from an empty contraction-kernel table and from one
+    # first filled by work on other connections, dimensions and omegas
+    want = json.loads(CORPUS.read_text(encoding="utf-8"))["curved2d"]
+    monkeypatch.setattr(weyl, "_KERNELS", {})
+    assert connection_entry(*connections()["curved2d"]) == want
+    monkeypatch.setattr(weyl, "_KERNELS", {})
+    specs = connections()
+    for name in ("poly2d", "commuting4d"):
+        r = abelian_r(*specs[name], 6)
+        flat_section(r, parse_poly("q1*q2", r.manifold.dim), 4)
+    custom = ManifoldSpec(4, [[0, 2, 1, 0], [-2, 0, 0, -3], [-1, 0, 0, 3], [0, 3, -3, 0]])
+    star(custom, ConnectionSpec(4, [((1, 1, 2), 1)]), parse_poly("q1", 4), parse_poly("q2", 4), 2)
+    prop41_entry()
+    assert len(weyl._KERNELS) == 3
+    # fresh specs, so that their algebra reads the filled table
+    assert connection_entry(*connections()["curved2d"]) == want
 
 
 if __name__ == "__main__":

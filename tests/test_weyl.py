@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from fedosov import weyl
 from fedosov.poly import BasePolynomial
 from fedosov.scalars import GaussianRational, I
 from fedosov.weyl import (
@@ -17,10 +19,14 @@ from fedosov.weyl import (
 )
 
 from conftest import rand_homogeneous, rand_poly, rand_series
-from oracles import commutator_two_products
+from oracles import commutator_two_products, contractions_uncached
 
 ALG2 = WeylAlgebra(2)
 ALG4 = WeylAlgebra(4)
+# non-unit rational weights on every pair, Pfaffian 2*3 + 1/3
+CUSTOM4_OMEGA = [[0, 2, 1, 0], [-2, 0, 0, Fraction(-1, 3)],
+                 [-1, 0, 0, 3], [0, Fraction(1, 3), -3, 0]]
+CUSTOM4 = WeylAlgebra(4, CUSTOM4_OMEGA)
 
 
 def fib(dim, **powers):
@@ -168,6 +174,49 @@ class TestCirc:
                     assert got.known_through == want.known_through
                     nonzero += not got.is_zero()
         assert nonzero > 35
+
+    def test_kernel_matches_uncached_contractions(self):
+        # every memoized kernel entry, mode by mode, against the per-call
+        # recursion: all fiber pairs through length 4 in 2D, 3 in 4D
+        nonzero = 0
+        for alg, length in ((ALG2, 4), (ALG4, 3), (CUSTOM4, 3)):
+            fibers = [f for f in itertools.product(range(length + 1), repeat=alg.dim)
+                      if sum(f) <= length]
+            for alpha, beta in itertools.product(fibers, repeat=2):
+                terms = [(t, tuple(a + b - x - y for a, b, x, y in zip(alpha, beta, left, right)), s)
+                         for t, s, left, right in contractions_uncached(alg, alpha, beta)]
+                want = {
+                    weyl._CIRC: terms,
+                    weyl._COMMUTATOR: [(t, f, 2 * s) for t, f, s in terms if t % 2],
+                    weyl._XFREE: [(t, f, s) for t, f, s in terms if not any(f)],
+                }
+                for mode, entries in want.items():
+                    assert list(weyl._kernel(alg._pairs, alpha, beta, mode)) == entries
+                nonzero += bool(want[weyl._XFREE])
+        assert nonzero > 50
+
+    def test_kernel_built_once_per_key(self, monkeypatch):
+        # a fresh table, shared across algebras of equal omega: every key
+        # is built once however many products and algebras read it
+        built = []
+        kernel = weyl._kernel
+
+        def counting_kernel(pairs, alpha, beta, mode):
+            built.append((pairs, alpha, beta, mode))
+            return kernel(pairs, alpha, beta, mode)
+
+        monkeypatch.setattr(weyl, "_KERNELS", {})
+        monkeypatch.setattr(weyl, "_kernel", counting_kernel)
+        rng = random.Random(28)
+        for _ in range(3):
+            for alg in (WeylAlgebra(2), WeylAlgebra(4), WeylAlgebra(4, CUSTOM4_OMEGA)):
+                a = rand_series(rng, alg.dim, terms=4, max_fiber=2)
+                b = rand_series(rng, alg.dim, terms=4, max_fiber=2)
+                alg.circ(a, b)
+                alg.commutator(a, b)
+                alg._xfree(a, b, None)
+        assert built and len(built) == len(set(built))
+        assert len(weyl._KERNELS) == 3
 
     def test_custom_omega(self):
         # doubled symplectic pairing doubles the commutator
