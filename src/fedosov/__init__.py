@@ -3,8 +3,8 @@ flat phase spaces: the fiberwise Weyl product, the graded calculus, the
 recursive Abelian connection, flat sections and the induced star product,
 plus the closed-form 2D coefficient machinery.
 
-All arithmetic is exact (Gaussian rationals over integer fractions);
-nothing here floats.
+All arithmetic is exact (Fraction, with powers of nu = i*hbar stored for
+hbar, and Gaussian rationals where a value carries i); nothing here floats.
 """
 
 from .abelian import (

@@ -7,7 +7,8 @@
     fedosov prop41   [--z Z] [--trials T] [--seed S]
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 invalid spec or
-invalid request, 3 parse error.  All output is deterministic: canonical
+invalid request (numeric options are range-checked, so that no request
+runs without end), 3 parse error.  All output is deterministic: canonical
 term order plus exact arithmetic make repeat runs byte-identical.
 """
 
@@ -39,6 +40,15 @@ from .twodim import CascadeError, cascade_solve, random_table, square_check
 from .weyl import format_series
 
 
+def _out_of_range(flag: str, value: int, low: int, high: int, why: str = "") -> bool:
+    """Report a value outside low..high on stderr; True when it is."""
+    if low <= value <= high:
+        return False
+    bound = f">= {low}{why}" if value < low else f"<= {high}"
+    print(f"error: {flag} must be {bound}, got {value}", file=sys.stderr)
+    return True
+
+
 def _specs(args):
     man = load_manifest(args.manifest)
     return man, man.manifold(), man.connection()
@@ -60,9 +70,7 @@ def cmd_validate(args) -> int:
 def cmd_abelian(args) -> int:
     man, mspec, cspec = _specs(args)
     N = man.max_degree if args.degree is None else args.degree
-    if N < 3:
-        print(f"error: --degree must be >= 3 (the correction starts at grade 3), got {N}",
-              file=sys.stderr)
+    if _out_of_range("--degree", N, 3, 24, " (the correction starts at grade 3)"):
         return 2
     r = abelian_r(mspec, cspec, N)
     if args.out == "json":
@@ -89,8 +97,7 @@ def cmd_abelian(args) -> int:
 def cmd_star(args) -> int:
     man, mspec, cspec = _specs(args)
     K = man.hbar_order if args.order is None else args.order
-    if K < 0:
-        print(f"error: --order must be >= 0, got {K}", file=sys.stderr)
+    if _out_of_range("--order", K, 0, 12):
         return 2
     a0 = parse_poly(args.a, man.dim)
     b0 = parse_poly(args.b, man.dim)
@@ -103,8 +110,7 @@ def cmd_star(args) -> int:
 def cmd_finite(args) -> int:
     man, mspec, cspec = _specs(args)
     zmax = args.zmax
-    if zmax < 4:
-        print(f"error: --zmax must be >= 4, got {zmax}", file=sys.stderr)
+    if _out_of_range("--zmax", zmax, 4, 24):
         return 2
     try:
         res = commuting_case_degree(mspec, cspec, zmax)
@@ -131,8 +137,7 @@ def cmd_finite(args) -> int:
 
 
 def cmd_prop41(args) -> int:
-    if args.z < 1:
-        print(f"error: --z must be >= 1, got {args.z}", file=sys.stderr)
+    if _out_of_range("--z", args.z, 1, 16) or _out_of_range("--trials", args.trials, 1, 1000):
         return 2
     rng = random.Random(args.seed)
     vanished = 0

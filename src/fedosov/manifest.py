@@ -9,10 +9,10 @@ A manifest is a JSON object with keys
     gamma     list of {"indices": [i, j, k], "poly": "<expression>"}
     defaults  optional {"max_degree": N, "hbar_order": K}
 
-Expressions use +, -, *, ^ with integer exponents, the imaginary unit i,
-variables q1..q<dim>, and rational literals; '/' is only allowed between
-two integer literals, never after a variable.  Numbers must be exact:
-floats anywhere in the manifest are rejected.
+Expressions use +, -, *, ^ with integer exponents up to 32, the imaginary
+unit i, variables q1..q<dim>, and rational literals; '/' is only allowed
+between two integer literals, never after a variable.  Numbers must be
+exact: floats anywhere in the manifest are rejected.
 
 Two error channels: ExprError for text that does not parse (bad JSON,
 bad expression), ManifestError for well-formed input that violates the
@@ -42,6 +42,7 @@ class ExprError(ValueError):
 
 # --- expression parser ---------------------------------------------------
 
+_MAX_EXPONENT = 32
 _TOKEN = re.compile(r"\s*(\d+|[iI]\b|q\d+|\*\*|[-+*^/()])")
 
 
@@ -118,6 +119,8 @@ class _Parser:
         if self.peek() in ("^", "**"):
             self.take()
             e = self.expect_int("a nonnegative integer exponent")
+            if e > _MAX_EXPONENT:
+                raise ExprError(f"exponent {e} above {_MAX_EXPONENT} in {self.text!r}")
             out = BasePolynomial.constant(self.dim, 1)
             for _ in range(e):
                 out = out * p

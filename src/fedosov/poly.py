@@ -1,17 +1,28 @@
-"""Sparse polynomials in the base coordinates q^1..q^dim over GaussianRational."""
+"""Sparse polynomials in the base coordinates q^1..q^dim, stored over Fraction
+with GaussianRational only where a coefficient has an imaginary part."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussianRational, _accumulate
+from .scalars import GaussianRational, _accumulate, format_scalar
+
+
+def _coeff(value):
+    """Stored form of a scalar: Fraction unless its imaginary part is nonzero."""
+    if isinstance(value, GaussianRational):
+        return value if value.im else value.re
+    if isinstance(value, (int, Fraction)):
+        return value if type(value) is Fraction else Fraction(value)
+    raise TypeError(f"cannot coerce {type(value).__name__} to a coefficient")
 
 
 class BasePolynomial:
     """Polynomial keyed by exponent tuples of length dim.
 
     Zero coefficients are never stored; the zero polynomial has an empty
-    term map.  Instances are treated as immutable.
+    term map.  Instances are treated as immutable.  items(), coefficient()
+    and constant_value() return every coefficient as GaussianRational.
     """
 
     __slots__ = ("dim", "_coeffs")
@@ -20,13 +31,17 @@ class BasePolynomial:
         if dim < 0:
             raise ValueError("dim must be >= 0")
         self.dim = dim
-        terms: dict[tuple[int, ...], GaussianRational] = {}
+        terms: dict[tuple[int, ...], Fraction | GaussianRational] = {}
         if coeffs:
             for exps, c in (coeffs.items() if hasattr(coeffs, "items") else coeffs):
                 exps = tuple(exps)
                 if len(exps) != dim or any(e < 0 for e in exps):
                     raise ValueError(f"bad exponent tuple {exps} for dim {dim}")
-                _accumulate(terms, exps, GaussianRational.of(c))
+                if exps in terms:  # a sum of imaginary values may be real: coerce it
+                    c = terms.pop(exps) + c
+                c = _coeff(c)
+                if c:
+                    terms[exps] = c
         self._coeffs = terms
 
     @classmethod
@@ -35,7 +50,7 @@ class BasePolynomial:
 
     @classmethod
     def constant(cls, dim: int, value) -> "BasePolynomial":
-        return cls(dim, {(0,) * dim: GaussianRational.of(value)})
+        return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def variable(cls, dim: int, k: int) -> "BasePolynomial":
@@ -43,20 +58,18 @@ class BasePolynomial:
         if not 1 <= k <= dim:
             raise ValueError(f"coordinate index {k} out of range 1..{dim}")
         exps = tuple(1 if j == k - 1 else 0 for j in range(dim))
-        return cls(dim, {exps: GaussianRational.of(1)})
+        return cls(dim, {exps: 1})
 
     @classmethod
     def monomial(cls, dim: int, exps, coeff=1) -> "BasePolynomial":
-        return cls(dim, {tuple(exps): GaussianRational.of(coeff)})
+        return cls(dim, {tuple(exps): coeff})
 
     def items(self):
         """Terms in canonical order (exponent tuples sorted lexicographically)."""
-        return sorted(self._coeffs.items())
+        return [(e, GaussianRational.of(c)) for e, c in sorted(self._coeffs.items())]
 
     def coefficient(self, exps) -> GaussianRational:
-        from .scalars import ZERO
-
-        return self._coeffs.get(tuple(exps), ZERO)
+        return GaussianRational.of(self._coeffs.get(tuple(exps), 0))
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -68,9 +81,7 @@ class BasePolynomial:
         return all(not any(e) for e in self._coeffs)
 
     def constant_value(self) -> GaussianRational:
-        from .scalars import ZERO
-
-        return self._coeffs.get((0,) * self.dim, ZERO)
+        return self.coefficient((0,) * self.dim)
 
     def total_degree(self):
         """Max total q-degree, or None for the zero polynomial."""
@@ -100,7 +111,7 @@ class BasePolynomial:
         return BasePolynomial(self.dim, {e: -c for e, c in self._coeffs.items()})
 
     def scale(self, s) -> "BasePolynomial":
-        s = GaussianRational.of(s)
+        s = _coeff(s)
         if not s:
             return BasePolynomial(self.dim)
         return BasePolynomial(self.dim, {e: c * s for e, c in self._coeffs.items()})
@@ -111,16 +122,13 @@ class BasePolynomial:
         if not isinstance(other, BasePolynomial):
             return NotImplemented
         self._check(other)
-        out: dict[tuple[int, ...], GaussianRational] = {}
+        out: dict[tuple[int, ...], Fraction | GaussianRational] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 _accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return BasePolynomial(self.dim, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def diff(self, k: int) -> "BasePolynomial":
         """Partial derivative with respect to q^k, 1-based."""
@@ -148,15 +156,13 @@ class BasePolynomial:
         return format_poly(self)
 
     def __repr__(self):
-        return f"BasePolynomial({self.dim}, {dict(sorted(self._coeffs.items()))!r})"
+        return f"BasePolynomial({self.dim}, {dict(self.items())!r})"
 
 
 def format_poly(p: BasePolynomial) -> str:
     """Canonical human-readable form, e.g. '1/2*q1^2*q2 + q3'."""
     if p.is_zero():
         return "0"
-    from .scalars import format_scalar
-
     parts = []
     for exps, c in p.items():
         factors = []

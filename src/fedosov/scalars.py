@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: Gaussian rationals a + b*i built on Fraction."""
+"""Exact scalars: Fraction in the engine, GaussianRational a + b*i for values with i."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ class GaussianRational:
     """Complex number with exact rational real and imaginary parts.
 
     Both parts are stored as Fraction, i.e. in lowest terms with positive
-    denominator.  The type is a field: every nonzero element is invertible.
+    denominator.
     """
 
     re: Fraction = Fraction(0)
@@ -58,21 +58,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
-        if not n:
-            raise ZeroDivisionError("inverse of zero GaussianRational")
-        return GaussianRational(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * GaussianRational.of(other).inverse()
-
-    def __rtruediv__(self, other):
-        return GaussianRational.of(other) * self.inverse()
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = GaussianRational(Fraction(other))
@@ -95,11 +80,12 @@ class GaussianRational:
 ZERO = GaussianRational()
 ONE = GaussianRational(Fraction(1))
 I = GaussianRational(Fraction(0), Fraction(1))
+_I_POWERS = (Fraction(1), I, Fraction(-1), -I)
 
 
-def i_power(t: int) -> GaussianRational:
-    """i**t without repeated multiplication."""
-    return (ONE, I, -ONE, -I)[t % 4]
+def i_power(t: int):
+    """i**t without repeated multiplication: a Fraction for even t."""
+    return _I_POWERS[t % 4]
 
 
 def _accumulate(data: dict, key, value) -> None:

@@ -9,6 +9,10 @@ and the form part a wedge word of strictly increasing 1-based indices.
 The grading degree of a term is 2k + l (twice the hbar power plus the
 fiber length); it is additive under the circle product.
 
+A series stores powers of nu = i*hbar, so contraction scalars are rational
+and 1/(i hbar) is a shift; i enters only with complex input.  _insert, terms()
+and sigma convert, hbar^k c = nu^k (i^-k c).
+
 A series carries ``known_through``: the degree bound through which its
 graded components are asserted exact.  ``None`` means the stored terms are
 the whole series.  Operations propagate this bound and refuse requests
@@ -17,7 +21,7 @@ Only the public constructors validate terms; the operators here store
 terms they built themselves unchecked, keeping the known_through cut.
 
 Every product reads one contraction kernel per omega: for a pair of fiber
-exponents the list of (hbar shift, output fiber, scalar) terms, built once
+exponents the list of (nu shift, output fiber, scalar) terms, built once
 per process and shared by all algebras with the same omega.
 """
 
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import BasePolynomial
-from .scalars import GaussianRational, _accumulate
+from .scalars import _accumulate, i_power
 
 
 class TruncationError(ValueError):
@@ -77,6 +81,11 @@ class WeylTerm:
         return len(self.word)
 
 
+def _times_i_power(c: BasePolynomial, t: int) -> BasePolynomial:
+    """c * i^t: hbar^t c = nu^t (i^-t c), and back."""
+    return c.scale(i_power(t)) if t % 4 else c
+
+
 def _min_known(a, b):
     if a is None:
         return b
@@ -112,7 +121,7 @@ class WeylSeries:
                 raise ValueError(f"wedge index {j} out of range 1..{self.dim}")
         if coeff.dim != self.dim:
             raise ValueError("coefficient dimension mismatch")
-        self._add_term(data, hbar, fiber, word, coeff)
+        self._add_term(data, hbar, fiber, word, _times_i_power(coeff, -hbar))
 
     def _add_term(self, data, hbar, fiber, word, coeff):
         """Accumulate a well-formed term, dropping it past known_through."""
@@ -141,7 +150,7 @@ class WeylSeries:
     def terms(self) -> list[WeylTerm]:
         """Canonical order: hbar power, fiber exponents, wedge word."""
         return [
-            WeylTerm(k, f, w, self._terms[(k, f, w)])
+            WeylTerm(k, f, w, _times_i_power(self._terms[(k, f, w)], k))
             for k, f, w in sorted(self._terms)
         ]
 
@@ -193,10 +202,9 @@ class WeylSeries:
         return out
 
     def scale(self, s) -> "WeylSeries":
-        s = GaussianRational.of(s)
         out = WeylSeries(self.dim, known_through=self.known_through)
         if s:
-            out._terms = {key: c * s for key, c in self._terms.items()}
+            out._terms = {key: c.scale(s) for key, c in self._terms.items()}
         return out
 
     def truncate(self, cap: int) -> "WeylSeries":
@@ -323,8 +331,8 @@ _KERNELS: dict = {}
 def _kernel(pairs, alpha, beta, mode) -> tuple:
     """The terms of X^alpha o X^beta as (t, output fiber, scalar).
 
-    A contraction multi-index mu on the pairs (i, j, w) contributes
-    (i/2)^t prod w^mu / mu! times the falling factorials of the
+    A contraction multi-index mu on the pairs (i, j, w) contributes the
+    rational (nu/2)^t prod w^mu / mu! times the falling factorials of the
     derivatives, t = |mu|.  Mode _CIRC keeps every t, _COMMUTATOR the odd
     t doubled and _XFREE only the terms whose output fiber is zero.
     """
@@ -339,8 +347,7 @@ def _kernel(pairs, alpha, beta, mode) -> tuple:
                 scale *= 2
             elif mode == _XFREE and any(fiber):
                 return
-            f = scale / 2**t
-            out.append((t, fiber, GaussianRational(*((f, 0), (0, f), (-f, 0), (0, -f))[t % 4])))
+            out.append((t, fiber, scale / 2**t))
             return
         i, j, w = pairs[idx]
         mmax = min(la[i], lb[j])
@@ -402,7 +409,8 @@ class WeylAlgebra:
 
         Degrees add: every product term has degree deg(a_term) + deg(b_term).
         The terms for a pair of fibers are read from the algebra's memoized
-        kernel, so each scalar is computed once per omega and fiber pair.
+        kernel: rational scalars at powers of nu = i*hbar, each computed once
+        per omega and fiber pair.
         Raises TruncationError when `cap` exceeds what the operands' own
         truncation bounds can determine.
         """
@@ -486,17 +494,16 @@ def sigma(a: WeylSeries) -> dict[int, BasePolynomial]:
             raise ValueError("sigma applies to form-degree-0 series only")
         if any(f):
             continue
-        _accumulate(out, k, c)
+        _accumulate(out, k, _times_i_power(c, k))
     return out
 
 
 def div_ihbar(a: WeylSeries) -> WeylSeries:
-    """Divide by i*hbar; every term must carry hbar^k with k >= 1."""
+    """Divide by i*hbar, a shift of nu; every term must carry hbar^k, k >= 1."""
     known = a.known_through if a.known_through is None else a.known_through - 2
     out = WeylSeries(a.dim, known_through=known)
-    minus_i = GaussianRational(Fraction(0), Fraction(-1))
     for (k, f, w), c in a._terms.items():
         if k == 0:
             raise DivisibilityError(f"term with hbar^0 not divisible: fiber={f} word={w}")
-        out._add_term(out._terms, k - 1, f, w, c * minus_i)
+        out._add_term(out._terms, k - 1, f, w, c)
     return out

@@ -45,8 +45,9 @@ def commutator_two_products(alg: WeylAlgebra, a: WeylSeries, b: WeylSeries, cap=
     eff = alg._effective_cap(a, b, cap, fiber_only=True)
 
     def form_part(s, m):
-        return WeylSeries(s.dim, {key: c for key, c in s._terms.items() if len(key[2]) == m},
-                          known_through=s.known_through)
+        out = WeylSeries(s.dim, known_through=s.known_through)
+        out._terms = {key: c for key, c in s._terms.items() if len(key[2]) == m}
+        return out
 
     out = WeylSeries(a.dim, known_through=eff)
     for m1 in a.form_degrees():
@@ -56,7 +57,7 @@ def commutator_two_products(alg: WeylAlgebra, a: WeylSeries, b: WeylSeries, cap=
             right = alg._product(bp, ap, eff)
             piece = left + right if (m1 * m2) % 2 else left - right
             for (k, f, w), c in piece._terms.items():
-                out._insert(out._terms, k, f, w, c)
+                out._add_term(out._terms, k, f, w, c)
     return out
 
 

@@ -272,6 +272,31 @@ class TestProductSharing:
         assert derivatives == []
 
 
+class TestRationalEngine:
+    def test_real_connections_build_no_gaussian_rational(self, curved2, poly2, monkeypatch):
+        # series store powers of nu = i hbar, so on a real connection every
+        # scalar of the solve, the check, the closure sweep and a lift is rational
+        built = []
+        post_init = GaussianRational.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        q1, q2 = BasePolynomial.variable(2, 1), BasePolynomial.variable(2, 2)
+        a0 = q1 * q2 + (q1 * q1).scale(Fraction(1, 2))
+        N = 9
+        for m, c in (curved2, poly2):
+            monkeypatch.setattr(GaussianRational, "__post_init__", counting_post_init)
+            r = abelian_r(m, c, N)
+            report = check_abelian(r)
+            sweep = [finiteness_test(r, mm) for mm in range(4, N + 1)]
+            lift = flat_section(r, a0, 6)
+            monkeypatch.setattr(GaussianRational, "__post_init__", post_init)
+            assert built == []
+            assert report.ok and sweep and not lift.series.is_zero()
+
+
 class TestCommutingShortcut:
     def test_flat_is_zero_curvature(self, flat2):
         m, c = flat2
@@ -434,6 +459,32 @@ class TestStar:
                 assert got
                 with pytest.raises(TruncationError):
                     m.algebra._xfree(sa.series, sb.series, cap=2 * K + 1)
+
+    def test_flat_matches_moyal_formula(self, flat2):
+        # on flat 2D the star product is the Moyal product, through h^4:
+        # sum_k (i h/2)^k / k! sum_j C(k,j) (-1)^j d1^(k-j) d2^j a * d2^(k-j) d1^j b
+        sympy = pytest.importorskip("sympy")
+        x1, x2 = sympy.symbols("q1 q2")
+
+        def to_sympy(p):
+            return sum(((sympy.Rational(c.re.numerator, c.re.denominator)
+                         + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator))
+                        * x1**e1 * x2**e2 for (e1, e2), c in p.items()), sympy.Integer(0))
+
+        m, c = flat2
+        K = 4
+        rng = random.Random(41)
+        for _ in range(10):
+            a0 = rand_poly(rng, 2, deg=4, terms=3)
+            b0 = rand_poly(rng, 2, deg=4, terms=3)
+            got = star(m, c, a0, b0, K)
+            a, b = to_sympy(a0), to_sympy(b0)
+            for k in range(K + 1):
+                want = sympy.I**k / (2**k * sympy.factorial(k)) * sum(
+                    sympy.binomial(k, j) * (-1)**j
+                    * sympy.diff(a, x1, k - j, x2, j) * sympy.diff(b, x2, k - j, x1, j)
+                    for j in range(k + 1))
+                assert sympy.expand(to_sympy(got.get(k, BasePolynomial.zero(2))) - want) == 0
 
     def test_hbar_expanded_bilinearity(self, curved2, r_curved):
         m, c = curved2

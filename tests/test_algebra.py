@@ -23,20 +23,9 @@ class TestGaussianRational:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 
-    @given(gaussians)
-    def test_field_inverse(self, a):
-        if a:
-            assert a * a.inverse() == ONE
-            assert a / a == ONE
-        else:
-            with pytest.raises(ZeroDivisionError):
-                a.inverse()
-
     @given(gaussians, gaussians)
     def test_sub_div_consistency(self, a, b):
         assert (a - b) + b == a
-        if b:
-            assert (a / b) * b == a
 
     def test_mixed_arithmetic(self):
         a = GaussianRational(Fraction(1, 2), Fraction(3))
@@ -50,11 +39,6 @@ class TestGaussianRational:
         assert i * i == -ONE
         assert [i_power(t) for t in range(4)] == [ONE, i, -ONE, -i]
         assert i_power(7) == i_power(3)
-
-    def test_conjugate_norm(self):
-        a = GaussianRational(Fraction(3), Fraction(-4))
-        n = a * a.conjugate()
-        assert n == GaussianRational(Fraction(25), Fraction(0))
 
     @given(gaussians)
     def test_format_is_canonical(self, a):

@@ -208,3 +208,30 @@ class TestProp41:
     def test_z_floor(self, capsys):
         code, _, err = run(capsys, "prop41", "--z", "0")
         assert code == 2 and err == "error: --z must be >= 1, got 0\n"
+
+
+class TestLimits:
+    """Each numeric option and the exponent grammar have an upper limit:
+    one past it exits at once, in a process of its own with a timeout."""
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["abelian", CURVED, "--degree", "25"], 2, "error: --degree must be <= 24, got 25\n"),
+        (["abelian", CURVED, "--degree", "100000"], 2,
+         "error: --degree must be <= 24, got 100000\n"),
+        (["star", FLAT, "q1", "q2", "--order", "13"], 2, "error: --order must be <= 12, got 13\n"),
+        (["finite", CURVED, "--zmax", "25"], 2, "error: --zmax must be <= 24, got 25\n"),
+        (["prop41", "--z", "17"], 2, "error: --z must be <= 16, got 17\n"),
+        (["prop41", "--trials", "1001"], 2, "error: --trials must be <= 1000, got 1001\n"),
+        (["prop41", "--trials", "-1"], 2, "error: --trials must be >= 1, got -1\n"),
+        (["star", FLAT, "q1^33", "q2"], 3,
+         "parse error: exponent 33 above 32 in 'q1^33'\n"),
+        (["star", FLAT, "q1^99999999999999", "q2"], 3,
+         "parse error: exponent 99999999999999 above 32 in 'q1^99999999999999'\n"),
+    ])
+    def test_one_past_the_limit(self, argv, code, err):
+        src = str(MANIFESTS.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "fedosov", *argv],
+                              env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)

@@ -45,6 +45,17 @@ STAR_PAIRS = {
     2: [("q1", "q2"), ("q2", "q1"), ("q1^2", "q2^2"), ("q1*q2", "q1 + q2^2")],
     4: [("q1", "q2"), ("q1*q3", "q2*q4"), ("q3^2", "q1 + q4")],
 }
+# complex connection coefficients, a non-standard omega and complex
+# observables, solved to a lower degree to keep the corpus small
+COMPLEX_N = 6
+COMPLEX_OBSERVABLES = {
+    2: ["q1 + i*q2", "i*q1*q2 - 1/2"],
+    4: ["q1 + i*q3", "i*q2*q4"],
+}
+COMPLEX_STAR_PAIRS = {
+    2: [("q1", "i*q2^2"), ("q1 + i*q2", "q1*q2")],
+    4: [("q1", "i*q2^2"), ("q1 + i*q3", "q2 + q4")],
+}
 
 
 def connections():
@@ -56,6 +67,18 @@ def connections():
     out["poly2d"] = (ManifoldSpec.standard(2),
                      ConnectionSpec(2, [((1, 1, 1), q2), ((1, 2, 2), q1)]))
     return out
+
+
+def complex_connections():
+    return {
+        "complex2d": (ManifoldSpec.standard(2), ConnectionSpec(2, [
+            ((1, 1, 1), parse_poly("i", 2)),
+            ((1, 2, 2), parse_poly("1/2*q1 + i*q2", 2)),
+            ((2, 2, 2), 1),
+        ])),
+        "custom4d": (ManifoldSpec(4, [[0, 2, 1, 0], [-2, 0, 0, -3], [-1, 0, 0, 3], [0, 3, -3, 0]]),
+                     ConnectionSpec(4, [((1, 1, 2), 1), ((3, 4, 4), parse_poly("-1/3 + i", 4))])),
+    }
 
 
 def records(s: WeylSeries | None):
@@ -80,34 +103,34 @@ def star_text(result):
     return {str(k): format_poly(p) for k, p in sorted(result.items())}
 
 
-def connection_entry(m, c):
-    r = abelian_r(m, c, N)
+def connection_entry(m, c, n=N, observables=OBSERVABLES, star_pairs=STAR_PAIRS):
+    r = abelian_r(m, c, n)
     dim = m.dim
     entry = {
-        "r": {str(z): series_to_records(r.part(z)) for z in range(3, N + 1)},
+        "r": {str(z): series_to_records(r.part(z)) for z in range(3, n + 1)},
         "check": report_fields(check_abelian(r)),
-        "check_partial": report_fields(check_abelian(r, N - 3)),
+        "check_partial": report_fields(check_abelian(r, n - 3)),
         "closure": {},
         "lifts": {},
         "star": {},
     }
-    for mm in range(4, N + 1):
+    for mm in range(4, n + 1):
         fr = finiteness_test(r, mm)
         entry["closure"][str(mm)] = {
             "violations": list(fr.violations),
             "first_residual": records(fr.first_residual),
         }
-    for text in OBSERVABLES[dim]:
+    for text in observables[dim]:
         s = flat_section(r, parse_poly(text, dim), LIFT_GRADE)
         entry["lifts"][text] = {"known_through": s.known_through,
                                 "series": series_to_records(s.series)}
-    for a, b in STAR_PAIRS[dim]:
+    for a, b in star_pairs[dim]:
         result = star(m, c, parse_poly(a, dim), parse_poly(b, dim), STAR_ORDER, r=r)
         entry["star"][f"{a} | {b}"] = star_text(result)
     # a correction whose first component is wrong: the check must say where
     parts = dict(r.parts)
     parts[3] = WeylSeries.zero(dim)
-    bad = AbelianCorrection(m, c, parts, known_through=N)
+    bad = AbelianCorrection(m, c, parts, known_through=n)
     entry["check_corrupted"] = report_fields(check_abelian(bad))
     return entry
 
@@ -130,6 +153,8 @@ def prop41_entry():
 
 def corpus() -> dict:
     data = {name: connection_entry(m, c) for name, (m, c) in connections().items()}
+    for name, (m, c) in complex_connections().items():
+        data[name] = connection_entry(m, c, COMPLEX_N, COMPLEX_OBSERVABLES, COMPLEX_STAR_PAIRS)
     data["prop41"] = prop41_entry()
     return data
 

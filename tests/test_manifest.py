@@ -69,6 +69,8 @@ class TestExpressionParser:
         "i2",
         "x",
         "/3",
+        "q1^33",
+        "q1^99999999999999",
     ])
     def test_rejects(self, text):
         with pytest.raises(ExprError):

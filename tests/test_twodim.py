@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from fedosov.abelian import abelian_r
+from fedosov.calculus import delta, delta_inv
+from fedosov.geometry import ConnectionSpec, ManifoldSpec
 from fedosov.poly import BasePolynomial
 from fedosov.scalars import GaussianRational, I, ZERO
 from fedosov.twodim import (
@@ -204,6 +207,32 @@ class TestSquareCoefficients:
                     if g:
                         predicted[(2 * A + 1, (B, 2 * z - 2 - 4 * A - B))] = g
             assert actual == predicted, z
+
+
+    def test_solver_square_matches_formula(self):
+        # the square formula on the solver's own components: with F = delta r[z],
+        # r[z] = delta_inv F and every term of r[z] o r[z] is g(A, B) at
+        # h^(2A+1) X1^B X2^(2z-2-4A-B) dq1^dq2
+        q1, q2 = BasePolynomial.variable(2, 1), BasePolynomial.variable(2, 2)
+        m = ManifoldSpec.standard(2)
+        for c in (ConnectionSpec(2, [((1, 1, 1), 1), ((2, 2, 2), 1)]),
+                  ConnectionSpec(2, [((1, 1, 1), q2), ((1, 2, 2), q1)])):
+            r = abelian_r(m, c, 12)
+            for z in range(4, 13):
+                rz = r.part(z)
+                F = delta(rz)
+                assert delta_inv(F) == rz
+                table = CoefficientTable.from_form(F)
+                square = {(t.hbar, t.fiber, t.word): t.coeff
+                          for t in m.algebra.circ(rz, rz).terms()}
+                for A in range((2 * z - 2) // 4 + 1):
+                    for B in range(2 * z - 2 - 4 * A + 1):
+                        g = g_coeff(z, table, A, B)
+                        if not isinstance(g, BasePolynomial):
+                            g = BasePolynomial.constant(2, g)
+                        key = (2 * A + 1, (B, 2 * z - 2 - 4 * A - B), (1, 2))
+                        assert square.pop(key, BasePolynomial.zero(2)) == g, (z, A, B)
+                assert square == {}, z
 
 
 class TestCascade:

@@ -6,7 +6,7 @@ import pytest
 
 from fedosov import weyl
 from fedosov.poly import BasePolynomial
-from fedosov.scalars import GaussianRational, I
+from fedosov.scalars import GaussianRational, I, i_power
 from fedosov.weyl import (
     DivisibilityError,
     TruncationError,
@@ -141,7 +141,7 @@ class TestCirc:
             d = div_ihbar(c)
             assert WeylSeries.build(dim, [(I, 1, (0,) * dim, ())]) is not None
             back = WeylSeries(dim, {
-                (k + 1, f, w): cc * I for (k, f, w), cc in d._terms.items()
+                (t.hbar + 1, t.fiber, t.word): t.coeff * I for t in d.terms()
             })
             assert back == c
 
@@ -191,7 +191,10 @@ class TestCirc:
                     weyl._XFREE: [(t, f, s) for t, f, s in terms if not any(f)],
                 }
                 for mode, entries in want.items():
-                    assert list(weyl._kernel(alg._pairs, alpha, beta, mode)) == entries
+                    # the kernel stores the scalar of nu^t = (i hbar)^t
+                    got = weyl._kernel(alg._pairs, alpha, beta, mode)
+                    assert all(type(s) is Fraction for _, _, s in got)
+                    assert [(t, f, i_power(t) * s) for t, f, s in got] == entries
                 nonzero += bool(want[weyl._XFREE])
         assert nonzero > 50
 
