@@ -16,29 +16,27 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .weyl import TruncationError, WeylAlgebra, WeylSeries, div_ihbar, wedge_normalize
+from .weyl import WeylAlgebra, WeylSeries, div_ihbar, wedge_normalize
 
 
 def delta(a: WeylSeries) -> WeylSeries:
     known = a.known_through if a.known_through is None else a.known_through - 1
     out = WeylSeries(a.dim, known_through=known)
-    for (k, f, w), c in a._terms.items():
-        for i in range(a.dim):
-            e = f[i]
-            if e == 0:
+    for (k, f, w, e), c in a._terms.items():
+        for i, fi in enumerate(f):
+            if fi == 0:
                 continue
             word, sign = wedge_normalize((i + 1,) + w, a.dim)
             if sign == 0:
                 continue
-            fiber = f[:i] + (e - 1,) + f[i + 1 :]
-            out._add_term(out._terms, k, fiber, word, c * (sign * e))
+            out._add_term(k, f[:i] + (fi - 1,) + f[i + 1 :], word, e, c * (sign * fi))
     return out
 
 
 def delta_inv(a: WeylSeries) -> WeylSeries:
     known = a.known_through if a.known_through is None else a.known_through + 1
     out = WeylSeries(a.dim, known_through=known)
-    for (k, f, w), c in a._terms.items():
+    for (k, f, w, e), c in a._terms.items():
         l, m = sum(f), len(w)
         if l + m == 0:
             continue
@@ -47,23 +45,20 @@ def delta_inv(a: WeylSeries) -> WeylSeries:
             sign = -1 if pos % 2 else 1
             fiber = f[: j - 1] + (f[j - 1] + 1,) + f[j:]
             word = w[:pos] + w[pos + 1 :]
-            out._add_term(out._terms, k, fiber, word, c * (sign * scale))
+            out._add_term(k, fiber, word, e, c * (sign * scale))
     return out
 
 
 def ext_d(a: WeylSeries) -> WeylSeries:
     out = WeylSeries(a.dim, known_through=a.known_through)
-    for (k, f, w), c in a._terms.items():
-        for i in range(1, a.dim + 1):
-            dc = c.diff(i)
-            if dc.is_zero():
+    for (k, f, w, e), c in a._terms.items():
+        for i, ei in enumerate(e):
+            if ei == 0:
                 continue
-            word, sign = wedge_normalize((i,) + w, a.dim)
+            word, sign = wedge_normalize((i + 1,) + w, a.dim)
             if sign == 0:
                 continue
-            if sign < 0:
-                dc = -dc
-            out._add_term(out._terms, k, f, word, dc)
+            out._add_term(k, f, word, e[:i] + (ei - 1,) + e[i + 1 :], c * (sign * ei))
     return out
 
 
@@ -71,25 +66,15 @@ def hodge_split(a: WeylSeries):
     """(delta delta_inv a, delta_inv delta a, X-free form-free part)."""
     dd = delta(delta_inv(a))
     di = delta_inv(delta(a))
-    rest = WeylSeries(a.dim, known_through=a.known_through)
-    for (k, f, w), c in a._terms.items():
-        if not any(f) and not w:
-            rest._terms[(k, f, w)] = c
+    rest = a._filtered(lambda k, f, w, e: not any(f) and not w, a.known_through)
     return dd, di, rest
 
 
-def covariant_d(alg: WeylAlgebra, gamma: WeylSeries, a: WeylSeries, cap=None) -> WeylSeries:
+def covariant_d(alg: WeylAlgebra, gamma: WeylSeries, a: WeylSeries) -> WeylSeries:
     """d a + (1/i hbar)[gamma, a] for a connection one-form gamma.
 
     For the symmetric quadratic gamma this preserves the grading degree.
     """
     if gamma.form_degrees() - {1}:
         raise ValueError("connection form must be homogeneous of form degree 1")
-    out = ext_d(a) + div_ihbar(alg.commutator(gamma, a))
-    if cap is not None:
-        if out.known_through is not None and out.known_through < cap:
-            raise TruncationError(
-                f"covariant derivative valid through {out.known_through}, need {cap}"
-            )
-        out = out.truncate(cap)
-    return out
+    return ext_d(a) + div_ihbar(alg.commutator(gamma, a))

@@ -196,7 +196,7 @@ def gamma_form(m: ManifoldSpec, c: ConnectionSpec) -> WeylSeries:
                 fiber[i - 1] += 1
                 fiber[j - 1] += 1
                 weight = g if i != j else g.scale(half)
-                out._insert(out._terms, 0, tuple(fiber), (k,), weight)
+                out._insert(0, tuple(fiber), (k,), weight)
     return out
 
 
@@ -273,6 +273,6 @@ def curvature_form(m: ManifoldSpec, c: ConnectionSpec, via: str = "form-equation
             fiber = [0] * n
             fiber[i - 1] += 1
             fiber[j - 1] += 1
-            out._insert(out._terms, 0, tuple(fiber), word, poly.scale(sign * quarter))
+            out._insert(0, tuple(fiber), word, poly.scale(sign * quarter))
         return out
     raise ValueError(f"unknown curvature route {via!r}")

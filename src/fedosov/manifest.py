@@ -2,7 +2,7 @@
 
 A manifest is a JSON object with keys
 
-    dim       even integer >= 2
+    dim       even integer, 2 <= dim <= 16
     omega     optional dim x dim matrix of omega_{ij}; entries are integers
               or rational strings like "-1/2"; omitted means the standard
               pairwise blocks
@@ -12,7 +12,11 @@ A manifest is a JSON object with keys
 Expressions use +, -, *, ^ with integer exponents up to 32, the imaginary
 unit i, variables q1..q<dim>, and rational literals; '/' is only allowed
 between two integer literals, never after a variable.  Numbers must be
-exact: floats anywhere in the manifest are rejected.
+exact: floats anywhere in the manifest are rejected.  Parentheses and
+unary signs nest at most 64 deep, a number or variable token is at most
+1000 characters long, and multiplying out one expression may form at
+most 100,000 products of two terms, so that no input makes the parser
+run long or overflow the stack.
 
 Two error channels: ExprError for text that does not parse (bad JSON,
 bad expression), ManifestError for well-formed input that violates the
@@ -43,6 +47,10 @@ class ExprError(ValueError):
 # --- expression parser ---------------------------------------------------
 
 _MAX_EXPONENT = 32
+_MAX_NESTING = 64
+_MAX_TOKEN = 1000
+_MAX_TERM_PAIRS = 100_000
+_MAX_DIM = 16
 _TOKEN = re.compile(r"\s*(\d+|[iI]\b|q\d+|\*\*|[-+*^/()])")
 
 
@@ -56,7 +64,10 @@ def _tokenize(text: str) -> list[str]:
             if not rest:
                 break
             raise ExprError(f"unexpected character {rest[0]!r} in {text!r}")
-        out.append(m.group(1))
+        tok = m.group(1)
+        if len(tok) > _MAX_TOKEN:
+            raise ExprError(f"token of {len(tok)} characters, above {_MAX_TOKEN}")
+        out.append(tok)
         pos = m.end()
     return out
 
@@ -69,6 +80,8 @@ class _Parser:
         self.dim = dim
         self.toks = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses and unary signs
+        self.pairs = 0  # term products formed so far
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else None
@@ -83,6 +96,21 @@ class _Parser:
         if tok is None or not tok.isdigit():
             raise ExprError(f"expected {what} in {self.text!r}, got {tok!r}")
         return int(tok)
+
+    def nested(self, parse) -> BasePolynomial:
+        """parse() one level down; parentheses and unary signs share the depth cap."""
+        if self.depth == _MAX_NESTING:
+            raise ExprError(f"parentheses and signs nested more than {_MAX_NESTING} deep")
+        self.depth += 1
+        p = parse()
+        self.depth -= 1
+        return p
+
+    def mul(self, p: BasePolynomial, q: BasePolynomial) -> BasePolynomial:
+        self.pairs += len(p._coeffs) * len(q._coeffs)
+        if self.pairs > _MAX_TERM_PAIRS:
+            raise ExprError(f"expression multiplies out to over {_MAX_TERM_PAIRS} term products")
+        return p * q
 
     def parse(self) -> BasePolynomial:
         if not self.toks:
@@ -104,13 +132,13 @@ class _Parser:
         p = self.signed()
         while self.peek() == "*":
             self.take()
-            p = p * self.signed()
+            p = self.mul(p, self.signed())
         return p
 
     def signed(self) -> BasePolynomial:
         if self.peek() in ("+", "-"):
             op = self.take()
-            p = self.signed()
+            p = self.nested(self.signed)
             return -p if op == "-" else p
         return self.power()
 
@@ -123,7 +151,7 @@ class _Parser:
                 raise ExprError(f"exponent {e} above {_MAX_EXPONENT} in {self.text!r}")
             out = BasePolynomial.constant(self.dim, 1)
             for _ in range(e):
-                out = out * p
+                out = self.mul(out, p)
             return out
         return p
 
@@ -132,7 +160,7 @@ class _Parser:
         if tok is None:
             raise ExprError(f"unexpected end of {self.text!r}")
         if tok == "(":
-            p = self.expr()
+            p = self.nested(self.expr)
             if self.take() != ")":
                 raise ExprError(f"missing ')' in {self.text!r}")
             return p
@@ -214,8 +242,10 @@ class Manifest:
 def parse_manifest(text: str) -> Manifest:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
         raise ExprError(f"manifest is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ExprError("manifest is not valid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ManifestError("manifest must be a JSON object")
     _expect_keys(raw, {"dim", "omega", "gamma", "defaults"}, "manifest")
@@ -225,6 +255,8 @@ def parse_manifest(text: str) -> Manifest:
         raise ManifestError("dim must be an integer")
     if dim < 2 or dim % 2:
         raise ManifestError(f"dim must be even and >= 2, got {dim}")
+    if dim > _MAX_DIM:
+        raise ManifestError(f"dim must be <= {_MAX_DIM}, got {dim}")
 
     omega = None
     if "omega" in raw:
@@ -238,8 +270,11 @@ def parse_manifest(text: str) -> Manifest:
             for i, row in enumerate(rows)
         )
 
+    entries = raw.get("gamma", [])
+    if not isinstance(entries, list):
+        raise ManifestError("gamma must be a list")
     gamma = []
-    for n, entry in enumerate(raw.get("gamma", [])):
+    for n, entry in enumerate(entries):
         where = f"gamma[{n}]"
         if not isinstance(entry, dict):
             raise ManifestError(f"{where}: expected an object")
@@ -283,11 +318,7 @@ def poly_to_records(p: BasePolynomial) -> list[dict]:
 
 
 def poly_from_records(dim: int, records) -> BasePolynomial:
-    out = BasePolynomial.zero(dim)
-    for rec in records:
-        exps = tuple(rec["exps"])
-        out = out + BasePolynomial.monomial(dim, exps, parse_scalar(rec["c"]))
-    return out
+    return BasePolynomial(dim, [(rec["exps"], parse_scalar(rec["c"])) for rec in records])
 
 
 def series_to_records(a: WeylSeries) -> list[dict]:
@@ -304,13 +335,6 @@ def series_to_records(a: WeylSeries) -> list[dict]:
 
 
 def series_from_records(dim: int, records, known_through=None) -> WeylSeries:
-    out = WeylSeries(dim, known_through=known_through)
-    for rec in records:
-        out._insert(
-            out._terms,
-            rec["hbar"],
-            tuple(rec["fiber"]),
-            tuple(rec["wedge"]),
-            poly_from_records(dim, rec["coeff"]),
-        )
-    return out
+    return WeylSeries(dim, [((rec["hbar"], rec["fiber"], rec["wedge"]),
+                             poly_from_records(dim, rec["coeff"])) for rec in records],
+                      known_through)

@@ -5,16 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import GaussianRational, _accumulate, format_scalar
-
-
-def _coeff(value):
-    """Stored form of a scalar: Fraction unless its imaginary part is nonzero."""
-    if isinstance(value, GaussianRational):
-        return value if value.im else value.re
-    if isinstance(value, (int, Fraction)):
-        return value if type(value) is Fraction else Fraction(value)
-    raise TypeError(f"cannot coerce {type(value).__name__} to a coefficient")
+from .scalars import GaussianRational, _accumulate, _coeff, format_scalar
 
 
 class BasePolynomial:

@@ -88,10 +88,22 @@ def i_power(t: int):
     return _I_POWERS[t % 4]
 
 
+def _coeff(value):
+    """Stored form of a scalar: Fraction unless its imaginary part is nonzero."""
+    if isinstance(value, GaussianRational):
+        return value if value.im else value.re
+    if isinstance(value, (int, Fraction)):
+        return value if type(value) is Fraction else Fraction(value)
+    raise TypeError(f"cannot coerce {type(value).__name__} to a coefficient")
+
+
 def _accumulate(data: dict, key, value) -> None:
-    """data[key] += value, with a zero sum removed rather than stored."""
+    """data[key] += value, with a zero sum removed rather than stored and a
+    real GaussianRational stored as its Fraction."""
     acc = data.get(key)
     value = value if acc is None else acc + value
+    if type(value) is GaussianRational and not value.im:
+        value = value.re
     if value:
         data[key] = value
     else:

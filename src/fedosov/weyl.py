@@ -2,16 +2,20 @@
 
 An element is a finite sum of terms
 
-    hbar^k * c(q) * X^{a_1}..X^{a_l} * dq^{j_1} ^ .. ^ dq^{j_m}
+    hbar^k * c * q^e * X^{a_1}..X^{a_l} * dq^{j_1} ^ .. ^ dq^{j_m}
 
-with c a BasePolynomial, the fiber part a commuting monomial in X^1..X^dim
-and the form part a wedge word of strictly increasing 1-based indices.
-The grading degree of a term is 2k + l (twice the hbar power plus the
-fiber length); it is additive under the circle product.
+with c an exact scalar, q^e a monomial in the base coordinates, the fiber
+part a commuting monomial in X^1..X^dim and the form part a wedge word of
+strictly increasing 1-based indices.  The grading degree of a term is
+2k + l (twice the hbar power plus the fiber length); it is additive under
+the circle product.
 
-A series stores powers of nu = i*hbar, so contraction scalars are rational
-and 1/(i hbar) is a shift; i enters only with complex input.  _insert, terms()
-and sigma convert, hbar^k c = nu^k (i^-k c).
+A series is one flat map (nu power, fiber, word, q-exponents) -> scalar,
+with nu = i*hbar, so contraction scalars are rational and 1/(i hbar) is a
+shift; a scalar is a Fraction, or a GaussianRational only when its
+imaginary part is nonzero.  BasePolynomial is the boundary type: _insert
+splits one into flat terms, and terms() and sigma group them back, with
+hbar^k c = nu^k (i^-k c).
 
 A series carries ``known_through``: the degree bound through which its
 graded components are asserted exact.  ``None`` means the stored terms are
@@ -29,9 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .poly import BasePolynomial
-from .scalars import _accumulate, i_power
+from .scalars import _accumulate, _coeff, i_power
 
 
 class TruncationError(ValueError):
@@ -81,11 +86,6 @@ class WeylTerm:
         return len(self.word)
 
 
-def _times_i_power(c: BasePolynomial, t: int) -> BasePolynomial:
-    """c * i^t: hbar^t c = nu^t (i^-t c), and back."""
-    return c.scale(i_power(t)) if t % 4 else c
-
-
 def _min_known(a, b):
     if a is None:
         return b
@@ -94,22 +94,33 @@ def _min_known(a, b):
     return min(a, b)
 
 
+def _groups(terms: dict) -> dict:
+    """Flat terms grouped as (nu power, fiber, word) -> {q-exponents: scalar}."""
+    out: dict = {}
+    for (k, f, w, e), c in terms.items():
+        group = out.get((k, f, w))
+        if group is None:
+            out[(k, f, w)] = {e: c}
+        else:
+            group[e] = c
+    return out
+
+
 class WeylSeries:
-    """Sparse sum of WeylTerms with a truncation bound."""
+    """Sparse sum of terms with a truncation bound; see the module docstring."""
 
     __slots__ = ("dim", "known_through", "_terms")
 
     def __init__(self, dim: int, terms=None, known_through=None):
         self.dim = dim
         self.known_through = known_through
-        data: dict[tuple, BasePolynomial] = {}
+        self._terms: dict = {}
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
             for (hbar, fiber, word), coeff in items:
-                self._insert(data, hbar, tuple(fiber), tuple(word), coeff)
-        self._terms = data
+                self._insert(hbar, tuple(fiber), tuple(word), coeff)
 
-    def _insert(self, data, hbar, fiber, word, coeff):
+    def _insert(self, hbar, fiber, word, coeff):
         if hbar < 0:
             raise ValueError("negative hbar power")
         if len(fiber) != self.dim or any(e < 0 for e in fiber):
@@ -121,12 +132,14 @@ class WeylSeries:
                 raise ValueError(f"wedge index {j} out of range 1..{self.dim}")
         if coeff.dim != self.dim:
             raise ValueError("coefficient dimension mismatch")
-        self._add_term(data, hbar, fiber, word, _times_i_power(coeff, -hbar))
+        to_nu = i_power(-hbar)
+        for e, c in coeff._coeffs.items():
+            self._add_term(hbar, fiber, word, e, c * to_nu)
 
-    def _add_term(self, data, hbar, fiber, word, coeff):
+    def _add_term(self, k, fiber, word, exps, c):
         """Accumulate a well-formed term, dropping it past known_through."""
-        if self.known_through is None or 2 * hbar + sum(fiber) <= self.known_through:
-            _accumulate(data, (hbar, fiber, word), coeff)
+        if self.known_through is None or 2 * k + sum(fiber) <= self.known_through:
+            _accumulate(self._terms, (k, fiber, word, exps), c)
 
     @classmethod
     def zero(cls, dim: int, known_through=None) -> "WeylSeries":
@@ -139,7 +152,7 @@ class WeylSeries:
         for coeff, hbar, fiber, word in entries:
             if not isinstance(coeff, BasePolynomial):
                 coeff = BasePolynomial.constant(dim, coeff)
-            out._insert(out._terms, hbar, tuple(fiber), tuple(word), coeff)
+            out._insert(hbar, tuple(fiber), tuple(word), coeff)
         return out
 
     @classmethod
@@ -147,11 +160,17 @@ class WeylSeries:
         z = (0,) * p.dim
         return cls(p.dim, {(0, z, ()): p})
 
+    def _filtered(self, keep, known_through) -> "WeylSeries":
+        """The terms whose key satisfies keep, under a new bound."""
+        out = WeylSeries(self.dim, known_through=known_through)
+        out._terms = {key: c for key, c in self._terms.items() if keep(*key)}
+        return out
+
     def terms(self) -> list[WeylTerm]:
         """Canonical order: hbar power, fiber exponents, wedge word."""
         return [
-            WeylTerm(k, f, w, _times_i_power(self._terms[(k, f, w)], k))
-            for k, f, w in sorted(self._terms)
+            WeylTerm(k, f, w, BasePolynomial(self.dim, {e: c * i_power(k) for e, c in q.items()}))
+            for (k, f, w), q in sorted(_groups(self._terms).items())
         ]
 
     def is_zero(self) -> bool:
@@ -168,12 +187,12 @@ class WeylSeries:
         """
         if not self._terms:
             return None
-        return max(2 * k + sum(f) for k, f, _ in self._terms)
+        return max(2 * k + sum(f) for k, f, _, _ in self._terms)
 
     def min_degree(self):
         if not self._terms:
             return None
-        return min(2 * k + sum(f) for k, f, _ in self._terms)
+        return min(2 * k + sum(f) for k, f, _, _ in self._terms)
 
     def _check(self, other):
         if self.dim != other.dim:
@@ -187,8 +206,8 @@ class WeylSeries:
         self._check(other)
         out = WeylSeries(self.dim, known_through=_min_known(self.known_through, other.known_through))
         for src in (self._terms, other._terms):
-            for (k, f, w), c in src.items():
-                out._add_term(out._terms, k, f, w, c)
+            for (k, f, w, e), c in src.items():
+                out._add_term(k, f, w, e, c)
         return out
 
     def __sub__(self, other):
@@ -203,16 +222,14 @@ class WeylSeries:
 
     def scale(self, s) -> "WeylSeries":
         out = WeylSeries(self.dim, known_through=self.known_through)
+        s = _coeff(s)
         if s:
-            out._terms = {key: c.scale(s) for key, c in self._terms.items()}
+            out._terms = {key: _coeff(c * s) for key, c in self._terms.items()}
         return out
 
     def truncate(self, cap: int) -> "WeylSeries":
         known = cap if self.known_through is None else min(self.known_through, cap)
-        out = WeylSeries(self.dim, known_through=known)
-        for (k, f, w), c in self._terms.items():
-            out._add_term(out._terms, k, f, w, c)
-        return out
+        return self._filtered(lambda k, f, w, e: 2 * k + sum(f) <= known, known)
 
     def homogeneous_part(self, z: int) -> "WeylSeries":
         """All terms of degree z, as an exact standalone series."""
@@ -220,17 +237,10 @@ class WeylSeries:
             raise TruncationError(
                 f"degree {z} beyond known_through={self.known_through}"
             )
-        out = WeylSeries(self.dim)
-        for (k, f, w), c in self._terms.items():
-            if 2 * k + sum(f) == z:
-                out._terms[(k, f, w)] = c
-        return out
+        return self._filtered(lambda k, f, w, e: 2 * k + sum(f) == z, None)
 
     def form_degrees(self) -> set[int]:
-        return {len(w) for _, _, w in self._terms}
-
-    def max_hbar(self) -> int:
-        return max((k for k, _, _ in self._terms), default=0)
+        return {len(w) for _, _, w, _ in self._terms}
 
     def __eq__(self, other):
         if not isinstance(other, WeylSeries):
@@ -243,7 +253,7 @@ class WeylSeries:
         return format_series(self)
 
     def __repr__(self):
-        n = len(self._terms)
+        n = len(_groups(self._terms))
         return f"<WeylSeries dim={self.dim} terms={n} known_through={self.known_through}>"
 
 
@@ -297,7 +307,7 @@ def _potential_min_degree(a: WeylSeries, fiber_only: bool = False):
     they cannot contaminate a commutator with unknown grades.
     """
     cands = []
-    for (k, f, _w), _c in a._terms.items():
+    for k, f, _w, _e in a._terms:
         if fiber_only and not any(f):
             continue
         cands.append(2 * k + sum(f))
@@ -431,13 +441,15 @@ class WeylAlgebra:
         return cap
 
     def _product(self, a: WeylSeries, b: WeylSeries, eff, mode=_CIRC) -> WeylSeries:
-        """Sum of the kernel terms of every term pair through degree eff."""
+        """Sum of the kernel terms of every pair of (nu, fiber, word) groups
+        through degree eff."""
         out = WeylSeries(self.dim, known_through=eff)
         terms, kernels = out._terms, self._kernels
-        right = [(k2, f2, w2, c2, 2 * k2 + sum(f2)) for (k2, f2, w2), c2 in b._terms.items()]
-        for (k1, f1, w1), c1 in a._terms.items():
+        right = [(k2, f2, w2, q2, 2 * k2 + sum(f2))
+                 for (k2, f2, w2), q2 in _groups(b._terms).items()]
+        for (k1, f1, w1), q1 in _groups(a._terms).items():
             d1 = 2 * k1 + sum(f1)
-            for k2, f2, w2, c2, d2 in right:
+            for k2, f2, w2, q2, d2 in right:
                 if eff is not None and d1 + d2 > eff:
                     continue
                 kernel = kernels.get((f1, f2, mode))
@@ -448,9 +460,15 @@ class WeylAlgebra:
                 word, sign = wedge_normalize(w1 + w2, self.dim)
                 if sign == 0:
                     continue
-                base = c1 * c2 if sign > 0 else -(c1 * c2)
+                # the q-parts multiply once, so like q-terms merge before the kernel
+                base: dict = {}
+                for e1, c1 in q1.items():
+                    for e2, c2 in q2.items():
+                        c = c1 * c2
+                        _accumulate(base, tuple(map(add, e1, e2)), c if sign > 0 else -c)
                 for t, fiber, scalar in kernel:
-                    _accumulate(terms, (k1 + k2 + t, fiber, word), base.scale(scalar))
+                    for e, c in base.items():
+                        _accumulate(terms, (k1 + k2 + t, fiber, word, e), c * scalar)
         return out
 
     def _xfree(self, a: WeylSeries, b: WeylSeries, cap) -> WeylSeries:
@@ -476,25 +494,19 @@ class WeylAlgebra:
 
 def grade_part(a: WeylSeries, k: int, l: int) -> WeylSeries:
     """Terms with hbar power k and fiber length l (degree 2k + l)."""
-    z = 2 * k + l
-    if a.known_through is not None and z > a.known_through:
+    if a.known_through is not None and 2 * k + l > a.known_through:
         raise TruncationError(f"grade (k={k}, l={l}) beyond known_through={a.known_through}")
-    out = WeylSeries(a.dim)
-    for (kk, f, w), c in a._terms.items():
-        if kk == k and sum(f) == l:
-            out._terms[(kk, f, w)] = c
-    return out
+    return a._filtered(lambda kk, f, w, e: kk == k and sum(f) == l, None)
 
 
 def sigma(a: WeylSeries) -> dict[int, BasePolynomial]:
     """Projection X -> 0 of a form-degree-0 series, keyed by hbar power."""
     out: dict[int, BasePolynomial] = {}
-    for (k, f, w), c in a._terms.items():
+    for (k, f, w), q in _groups(a._terms).items():
         if w:
             raise ValueError("sigma applies to form-degree-0 series only")
-        if any(f):
-            continue
-        _accumulate(out, k, _times_i_power(c, k))
+        if not any(f):
+            out[k] = BasePolynomial(a.dim, {e: c * i_power(k) for e, c in q.items()})
     return out
 
 
@@ -502,8 +514,8 @@ def div_ihbar(a: WeylSeries) -> WeylSeries:
     """Divide by i*hbar, a shift of nu; every term must carry hbar^k, k >= 1."""
     known = a.known_through if a.known_through is None else a.known_through - 2
     out = WeylSeries(a.dim, known_through=known)
-    for (k, f, w), c in a._terms.items():
+    for (k, f, w, e), c in a._terms.items():
         if k == 0:
             raise DivisibilityError(f"term with hbar^0 not divisible: fiber={f} word={w}")
-        out._add_term(out._terms, k - 1, f, w, c)
+        out._add_term(k - 1, f, w, e, c)
     return out

@@ -64,7 +64,7 @@ def rand_series(rng: random.Random, dim: int, terms: int = 3, max_hbar: int = 1,
         hbar = rng.randint(0, max_hbar)
         fiber = tuple(rng.randint(0, max_fiber) for _ in range(dim))
         word = rand_word(rng, dim) if forms else ()
-        out._insert(out._terms, hbar, fiber, word, rand_poly(rng, dim, deg=qdeg))
+        out._insert(hbar, fiber, word, rand_poly(rng, dim, deg=qdeg))
     return out
 
 
@@ -76,7 +76,7 @@ def rand_form_homogeneous(rng: random.Random, dim: int, form_degree: int,
         hbar = rng.randint(0, max_hbar)
         fiber = tuple(rng.randint(0, 2) for _ in range(dim))
         word = rand_word(rng, dim, form_degree)
-        out._insert(out._terms, hbar, fiber, word, rand_poly(rng, dim, deg=qdeg))
+        out._insert(hbar, fiber, word, rand_poly(rng, dim, deg=qdeg))
     return out
 
 
@@ -91,7 +91,7 @@ def rand_homogeneous(rng: random.Random, dim: int, degree: int,
         for _ in range(left):
             fiber[rng.randrange(dim)] += 1
         word = rand_word(rng, dim) if forms else ()
-        out._insert(out._terms, hbar, tuple(fiber), word, rand_poly(rng, dim, deg=qdeg))
+        out._insert(hbar, tuple(fiber), word, rand_poly(rng, dim, deg=qdeg))
     return out
 
 

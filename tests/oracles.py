@@ -56,8 +56,8 @@ def commutator_two_products(alg: WeylAlgebra, a: WeylSeries, b: WeylSeries, cap=
             left = alg._product(ap, bp, eff)
             right = alg._product(bp, ap, eff)
             piece = left + right if (m1 * m2) % 2 else left - right
-            for (k, f, w), c in piece._terms.items():
-                out._add_term(out._terms, k, f, w, c)
+            for (k, f, w, e), c in piece._terms.items():
+                out._add_term(k, f, w, e, c)
     return out
 
 

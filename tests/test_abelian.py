@@ -296,6 +296,31 @@ class TestRationalEngine:
             assert built == []
             assert report.ok and sweep and not lift.series.is_zero()
 
+    def test_polynomials_built_only_at_the_boundary(self, curved2, poly2, monkeypatch):
+        # a series stores flat scalar terms, so the solve and a lift build
+        # BasePolynomials only for their inputs, however many grades they run
+        built = [0]
+        init = BasePolynomial.__init__
+
+        def counting_init(self, *args):
+            built[0] += 1
+            init(self, *args)
+
+        q1, q2 = BasePolynomial.variable(2, 1), BasePolynomial.variable(2, 2)
+        a0 = q1 * q1 * q2
+        monkeypatch.setattr(BasePolynomial, "__init__", counting_init)
+        for m, c in (curved2, poly2):
+            counts = []
+            for N in (6, 12):
+                built[0] = 0
+                r = abelian_r(m, c, N)
+                solve = built[0]
+                built[0] = 0
+                lift = flat_section(r, a0, N)
+                counts.append((solve, built[0]))
+                assert not lift.series.is_zero()
+            assert counts[1] == counts[0], counts
+
 
 class TestCommutingShortcut:
     def test_flat_is_zero_curvature(self, flat2):

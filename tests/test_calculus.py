@@ -6,7 +6,7 @@ import pytest
 from fedosov.calculus import covariant_d, delta, delta_inv, ext_d, hodge_split
 from fedosov.geometry import curvature_form, gamma_form
 from fedosov.poly import BasePolynomial
-from fedosov.weyl import TruncationError, WeylAlgebra, WeylSeries, div_ihbar
+from fedosov.weyl import WeylAlgebra, WeylSeries, div_ihbar
 
 from conftest import rand_form_homogeneous, rand_poly, rand_series
 
@@ -131,14 +131,6 @@ def test_covariant_d_rejects_bad_gamma():
     not_one_form = WeylSeries.build(2, [(1, 0, (1, 0), (1, 2))])
     with pytest.raises(ValueError):
         covariant_d(alg, not_one_form, WeylSeries.zero(2))
-
-
-def test_covariant_d_truncation_guard(curved2):
-    m, c = curved2
-    gamma = gamma_form(m, c)
-    a = WeylSeries.build(2, [(1, 0, (1, 0), ())]).truncate(1)
-    with pytest.raises(TruncationError):
-        covariant_d(m.algebra, gamma, a, cap=5)
 
 
 def test_connection_form_is_delta_closed(curved2):

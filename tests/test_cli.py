@@ -229,9 +229,46 @@ class TestLimits:
          "parse error: exponent 99999999999999 above 32 in 'q1^99999999999999'\n"),
     ])
     def test_one_past_the_limit(self, argv, code, err):
-        src = str(MANIFESTS.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "fedosov", *argv],
-                              env=dict(os.environ, PYTHONPATH=path),
-                              capture_output=True, text=True, timeout=30)
+        proc = run_process(argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+def run_process(argv, timeout=30):
+    src = str(MANIFESTS.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "fedosov", *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def gamma_manifest(dim, poly):
+    return json.dumps({"dim": dim, "gamma": [{"indices": [1, 1, 1], "poly": poly}]})
+
+
+class TestHostileInput:
+    """Input built to exhaust the stack, the memory or the clock ends at once
+    with exit 2 (invalid spec) or 3 (parse error), never with a traceback."""
+
+    @pytest.mark.parametrize("text, code", [
+        (gamma_manifest(2, "(" * 3000 + "1" + ")" * 3000), 3),
+        (gamma_manifest(2, "-" * 5000 + "1"), 3),
+        ("[" * 100000 + "]" * 100000, 3),
+        ('{"dim": ' + "2" * 5000 + "}", 3),
+        ('{"dim": 100000}', 2),
+        ('{"dim": 1200}', 2),
+        (gamma_manifest(4, "(q1+q2+q3+q4)^32*(q1+q2+q3+q4)^32"), 3),
+        (gamma_manifest(4, "(q1+q2+q3+q4)^16*(q1+q2+q3+q4)^16"), 3),
+    ], ids=["parentheses", "signs", "json-depth", "long-int", "dim-100000", "dim-1200",
+            "product-32", "product-16"])
+    def test_validate(self, tmp_path, text, code):
+        p = tmp_path / "hostile.json"
+        p.write_text(text)
+        proc = run_process(["validate", str(p)])
+        assert proc.returncode == code and proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("parse error:" if code == 3 else "invalid spec:")
+
+    def test_star_operand(self):
+        proc = run_process(["star", FLAT, "(1+q1+q2)^32*(1+q1+q2)^32", "q1"])
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("parse error:") and "Traceback" not in proc.stderr

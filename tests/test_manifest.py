@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedosov.geometry import ValidationError
 from fedosov.manifest import (
@@ -71,10 +72,23 @@ class TestExpressionParser:
         "/3",
         "q1^33",
         "q1^99999999999999",
+        pytest.param("(" * 3000 + "1" + ")" * 3000, id="parentheses-3000"),
+        pytest.param("-" * 5000 + "1", id="signs-5000"),
+        pytest.param("(" * 65 + "q1" + ")" * 65, id="parentheses-65"),
+        "(1+q1+q2)^32*(1+q1+q2)^32",
+        pytest.param("1" * 1001, id="literal-1001"),
+        pytest.param("q" + "1" * 1000, id="variable-1001"),
     ])
     def test_rejects(self, text):
         with pytest.raises(ExprError):
             parse_poly(text, 2)
+
+    def test_limits_admit_what_they_bound(self):
+        q1 = BasePolynomial.variable(2, 1)
+        assert parse_poly("(" * 64 + "q1" + ")" * 64, 2) == q1
+        assert parse_poly("-" * 64 + "q1", 2) == q1
+        assert parse_poly("1" * 1000, 2) == const(int("1" * 1000))
+        assert len(parse_poly("(1+q1+q2)^32", 2).items()) == 561
 
     def test_non_string_rejected(self):
         with pytest.raises(ManifestError):
@@ -134,6 +148,10 @@ class TestManifestParsing:
         '{"dim": 2, "defaults": {"max_degree": 2}}',
         '{"dim": 2, "defaults": {"hbar_order": -1}}',
         '{"dim": 2, "defaults": {"order": 4}}',
+        '{"dim": 18}',
+        '{"dim": 100000}',
+        '{"dim": 2, "gamma": 5}',
+        '{"dim": 2, "gamma": null}',
         '[]',
     ])
     def test_contract_violations(self, text):
@@ -145,6 +163,10 @@ class TestManifestParsing:
             parse_manifest('{"dim": 2,')
         with pytest.raises(ExprError):
             parse_manifest('{"dim": 2, "gamma": [{"indices": [1, 1, 1], "poly": "q1/2"}]}')
+        with pytest.raises(ExprError):
+            parse_manifest("[" * 100000 + "]" * 100000)
+        with pytest.raises(ExprError):
+            parse_manifest('{"dim": ' + "2" * 5000 + "}")
 
     def test_semantic_failures_surface_on_build(self):
         m = parse_manifest('{"dim": 2, "omega": [[0, 1], [1, 0]]}')
@@ -196,3 +218,57 @@ class TestRecordDumps:
         recs = series_to_records(s)
         keys = [(r["hbar"], tuple(r["fiber"]), tuple(r["wedge"])) for r in recs]
         assert keys == sorted(keys)
+
+
+# token soup for the fuzz: every token of the grammar, near misses, and
+# characters it rejects
+_TOKENS = ["q1", "q2", "q3", "q0", "i", "I", "0", "1", "2", "32", "33", "/", "+", "-",
+           "*", "**", "^", "(", ")", " ", ".", "x", "e", "1.5", "\u00b2", "\n"]
+
+
+def _soup(n):
+    return st.lists(st.sampled_from(_TOKENS), max_size=n).map("".join)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False) | _soup(8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["indices", "poly", "max_degree", "hbar_order", "x"]),
+                      inner, max_size=3),
+    max_leaves=12,
+)
+_GAMMA_ENTRY = st.fixed_dictionaries({
+    "indices": st.lists(st.integers(0, 5), max_size=4) | _JSON,
+    "poly": _soup(10) | _JSON,
+})
+_MANIFEST = st.fixed_dictionaries({"dim": st.sampled_from([2, 4]) | st.integers(-2, 20) | _JSON},
+                                  optional={
+    "omega": _JSON,
+    "gamma": _JSON | st.lists(_GAMMA_ENTRY, max_size=3),
+    "defaults": _JSON | st.dictionaries(st.sampled_from(["max_degree", "hbar_order", "x"]),
+                                        st.integers(-2, 10) | _JSON, max_size=2),
+}) | _JSON
+_FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=600)
+
+
+class TestFuzz:
+    """Only ExprError and ManifestError may escape the two parsers."""
+
+    @_FUZZ
+    @given(_soup(16), st.sampled_from([0, 2, 4]))
+    def test_parse_poly(self, text, dim):
+        try:
+            parse_poly(text, dim)
+        except (ExprError, ManifestError):
+            pass
+
+    @_FUZZ
+    @given(_MANIFEST, st.integers(0, 40))
+    def test_parse_manifest(self, raw, cut):
+        # the whole document, then a prefix of it: most prefixes are not JSON
+        text = json.dumps(raw)
+        for candidate in (text, text[:cut]):
+            try:
+                parse_manifest(candidate)
+            except (ExprError, ManifestError):
+                pass
