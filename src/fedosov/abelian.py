@@ -5,8 +5,8 @@ The correction one-form r solves
     delta r = R + covariant_d r + (1/i hbar) r o r,      delta_inv r = 0,
 
 with R the curvature two-form of the symmetric connection.  Solving grade
-by grade gives the unique normalized solution r[3] = delta_inv R and
-r[z] = delta_inv source(z), with
+by grade gives the unique normalized solution r[z] = delta_inv source(z),
+with source(3) = R and, for z >= 4,
 
     source(z) = covariant_d r[z-1] + (1/i hbar) sum_{j+k=z+1} r[j] o r[k]
 
@@ -15,11 +15,11 @@ r[z] = delta_inv source(z), with
 is the graded commutator [r[j], r[k]], so the sum pairs into one bracket
 per unordered pair j <= k, halved when j = k.  Each correction keeps a
 table of these brackets and of the sources, each formed at most once: the
-solver, check_abelian and the closure system of finiteness_test all read
-it.  Flat sections are lifted from their X-free parts by the same graded
-step, with commutators [r[j], a[w]] in place of the products, and the
-star product of two observables is the projection of the circle product
-of their lifts.
+solver, check_abelian, the commuting-case shortcut and the closure system
+of finiteness_test all read it.  Flat sections are lifted from their X-free
+parts by the same graded step, with commutators [r[j], a[w]] in place of
+the products, and the star product of two observables is the projection of
+the circle product of their lifts.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class AbelianCorrection:
     parts: dict[int, WeylSeries]
     known_through: int
     # filled on demand from `parts`, which must not change once read:
-    # (j, k) with j <= k -> [r[j], r[k]], halved when j == k, and z -> source(z)
+    # (j, k) with j <= k -> [r[j], r[k]], halved when j == k; z -> source(z), R at 3
     _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def part(self, z: int) -> WeylSeries:
@@ -86,9 +86,11 @@ class AbelianCorrection:
         return p
 
     def _source(self, z: int) -> WeylSeries:
-        """covariant_d r[z-1] + (1/i hbar) sum_{j+k=z+1} r[j] o r[k]."""
+        """R at z = 3, else covariant_d r[z-1] + (1/i hbar) sum_{j+k=z+1} r[j] o r[k]."""
         s = self._table.get(z)
-        if s is None:
+        if s is None and z == 3:
+            s = self._table[z] = curvature_form(self.manifold, self.connection)
+        elif s is None:
             pairs = [self._pair(j, z + 1 - j) for j in range(3, (z + 1) // 2 + 1)]
             s = self._table[z] = _step(self, self.part(z - 1), pairs)
         return s
@@ -105,8 +107,8 @@ def abelian_r(m: ManifoldSpec, c: ConnectionSpec, N: int) -> AbelianCorrection:
     """Solve the normalized correction grade by grade through degree N."""
     if N < 3:
         raise ValueError("need N >= 3: the correction starts at degree 3")
-    r = AbelianCorrection(m, c, {3: delta_inv(curvature_form(m, c))}, known_through=3)
-    for z in range(4, N + 1):
+    r = AbelianCorrection(m, c, {}, known_through=2)
+    for z in range(3, N + 1):
         r.parts[z] = delta_inv(r._source(z))
         r.known_through = z
     return r
@@ -131,18 +133,19 @@ def check_abelian(r: AbelianCorrection, N: int | None = None) -> CheckReport:
     length >= 1, each term's degree matching its grade, and the base
     component r[3] = delta_inv R.
 
-    The residual at grade g is delta r[g+1] - source(g+1), with R as the
-    source at g = 2; it reads only products r[j] o r[k] with j + k <= N + 1.
+    The residual at grade g is delta r[g+1] - source(g+1), read from the
+    correction's table; it reads only products r[j] o r[k] with j + k <= N + 1.
     """
     if N is None:
         N = r.known_through
+    if N < 3:
+        raise ValueError("need N >= 3: the check starts at grade 2")
     if N > r.known_through:
         raise TruncationError(f"cannot check through {N}: r known through {r.known_through}")
-    R = curvature_form(r.manifold, r.connection)
 
     report = CheckReport(ok=True, checked_through=N - 1)
     for g in range(2, N):
-        residual = delta(r.part(g + 1)) - (R if g == 2 else r._source(g + 1))
+        residual = delta(r.part(g + 1)) - r._source(g + 1)
         if not residual.is_zero():
             report.ok = False
             report.first_bad_grade = g
@@ -156,17 +159,18 @@ def check_abelian(r: AbelianCorrection, N: int | None = None) -> CheckReport:
         if not delta_inv(pz).is_zero():
             report.normalization_ok = False
             report.messages.append(f"delta_inv r[{z}] != 0")
-        for t in pz.terms():
-            if t.hbar % 2:
+        for k, fiber, _ in sorted({key[:3] for key in pz._terms}):
+            degree = 2 * k + sum(fiber)
+            if k % 2:
                 report.even_hbar_ok = False
-                report.messages.append(f"odd hbar power {t.hbar} in r[{z}]")
-            if not any(t.fiber):
+                report.messages.append(f"odd hbar power {k} in r[{z}]")
+            if not any(fiber):
                 report.fiber_ok = False
                 report.messages.append(f"X-free term in r[{z}]")
-            if t.degree != z:
+            if degree != z:
                 graded = False
-                report.messages.append(f"degree-{t.degree} term in r[{z}]")
-    if r.part(3) != delta_inv(R):
+                report.messages.append(f"degree-{degree} term in r[{z}]")
+    if r.part(3) != delta_inv(r._source(3)):
         report.base_ok = False
         report.messages.append("r[3] != delta_inv R")
     report.ok = report.ok and report.normalization_ok and report.even_hbar_ok \
@@ -229,39 +233,30 @@ class CommutingCaseResult:
 def commuting_case_degree(m: ManifoldSpec, c: ConnectionSpec, z_max: int) -> CommutingCaseResult:
     """Degree detection when all r[j] o r[k] vanish.
 
-    Under that hypothesis r[z] = (delta_inv covariant_d)^{z-3} delta_inv R,
-    and r is finite iff some iterate (covariant_d delta_inv)^{z-3} R with
-    z >= 4 vanishes; the smallest such z is returned (the degree of r is
-    then z - 1).  The hypothesis is verified on every computed component,
-    not assumed.
+    Under that hypothesis every bracket in the correction's table vanishes,
+    so source(z) = covariant_d r[z-1] for z >= 4 and r is finite iff some
+    such source vanishes; the smallest such z is returned (the degree of r
+    is then z - 1).  The shortcut walks the solver's own grades and checks
+    the hypothesis as each grade is added, raising at the first nonzero
+    r[j] o r[k] with j <= k, smallest k first.
     """
     if z_max < 4:
         raise ValueError("need z_max >= 4")
-    R = curvature_form(m, c)
-    if R.is_zero():
-        return CommutingCaseResult(kind="zero-curvature", r_degree=None)
-
-    r = AbelianCorrection(m, c, {3: delta_inv(R)}, known_through=3)
-    found = None
-    for z in range(4, z_max + 1):
-        source = _step(r, r.part(z - 1), [])
+    r = AbelianCorrection(m, c, {}, known_through=2)
+    for z in range(3, z_max + 1):
+        source = r._source(z)
         if source.is_zero():
-            found = z
-            break
+            if z == 3:
+                return CommutingCaseResult(kind="zero-curvature")
+            return CommutingCaseResult(kind="finite", z=z, r_degree=z - 1)
         r.parts[z] = delta_inv(source)
         r.known_through = z
-
-    for j in sorted(r.parts):
-        for k in sorted(r.parts):
-            if k < j:
-                continue
-            if not m.algebra.circ(r.parts[j], r.parts[k]).is_zero():
+        for j in range(3, z + 1):
+            if not m.algebra.circ(r.part(j), r.part(z)).is_zero():
                 raise CommutingHypothesisError(
-                    f"r[{j}] o r[{k}] != 0: commuting shortcut does not apply"
+                    f"r[{j}] o r[{z}] != 0: commuting shortcut does not apply"
                 )
-    if found is None:
-        return CommutingCaseResult(kind="not-finite-within", z=None, r_degree=None)
-    return CommutingCaseResult(kind="finite", z=found, r_degree=found - 1)
+    return CommutingCaseResult(kind="not-finite-within")
 
 
 @dataclass
@@ -286,6 +281,8 @@ def flat_section(r: AbelianCorrection, a0: BasePolynomial, N: int | None = None)
     m = r.manifold
     if N is None:
         N = r.known_through
+    if N < 0:
+        raise ValueError("need N >= 0")
     if N > r.known_through:
         raise TruncationError(f"need r through {N}, known through {r.known_through}")
     if a0.dim != m.dim:
@@ -328,6 +325,8 @@ def star_hbar(m: ManifoldSpec, c: ConnectionSpec, a: dict[int, BasePolynomial],
               b: dict[int, BasePolynomial], K: int,
               r: AbelianCorrection | None = None) -> dict[int, BasePolynomial]:
     """Star product of hbar-expanded observables, bilinear over hbar powers."""
+    if K < 0:
+        raise ValueError("need K >= 0")
     if r is None:
         r = abelian_r(m, c, max(3, 2 * K))
     out: dict[int, BasePolynomial] = {}

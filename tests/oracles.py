@@ -1,14 +1,16 @@
 """Reference routes the tests compare the library against.
 
 Each computes a result the library also computes, by a slower and more
-direct route: the whole-series fixed point for the graded solver, two
-full products per pair of form degrees for the one-pass commutator, and
-the per-call contraction recursion for the memoized product kernel.
+direct route: the whole-series fixed point for the graded solver, a
+bracket-free recursion checked pair by pair afterwards for the
+commuting-case shortcut, two full products per pair of form degrees for
+the one-pass commutator, and the per-call contraction recursion for the
+memoized product kernel.
 """
 
 from fractions import Fraction
 
-from fedosov.abelian import AbelianCorrection
+from fedosov.abelian import AbelianCorrection, CommutingCaseResult, CommutingHypothesisError
 from fedosov.calculus import covariant_d, delta_inv
 from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
 from fedosov.scalars import i_power
@@ -37,6 +39,37 @@ def abelian_r_iterative(m: ManifoldSpec, c: ConnectionSpec, steps: int, N: int) 
         r = delta_inv(source).truncate(N)
     parts = {z: r.homogeneous_part(z) for z in range(3, N + 1)}
     return AbelianCorrection(m, c, parts, known_through=N)
+
+
+def commuting_case_shortcut(m: ManifoldSpec, c: ConnectionSpec, z_max: int) -> CommutingCaseResult:
+    """commuting_case_degree by its own recursion: r[3] = delta_inv R and
+    r[z] = delta_inv covariant_d r[z-1] until the source vanishes or z_max,
+    then r[j] o r[k] = 0 checked on every pair j <= k of the components
+    formed, smallest j first."""
+    if z_max < 4:
+        raise ValueError("need z_max >= 4")
+    R = curvature_form(m, c)
+    if R.is_zero():
+        return CommutingCaseResult(kind="zero-curvature")
+    alg = m.algebra
+    gamma = gamma_form(m, c)
+    parts = {3: delta_inv(R)}
+    found = None
+    for z in range(4, z_max + 1):
+        source = covariant_d(alg, gamma, parts[z - 1])
+        if source.is_zero():
+            found = z
+            break
+        parts[z] = delta_inv(source)
+    for j in sorted(parts):
+        for k in sorted(parts):
+            if k >= j and not alg.circ(parts[j], parts[k]).is_zero():
+                raise CommutingHypothesisError(
+                    f"r[{j}] o r[{k}] != 0: commuting shortcut does not apply"
+                )
+    if found is None:
+        return CommutingCaseResult(kind="not-finite-within")
+    return CommutingCaseResult(kind="finite", z=found, r_degree=found - 1)
 
 
 def commutator_two_products(alg: WeylAlgebra, a: WeylSeries, b: WeylSeries, cap=None) -> WeylSeries:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -18,12 +19,14 @@ from fedosov.abelian import (
 )
 from fedosov.calculus import covariant_d, delta_inv
 from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
+from fedosov.manifest import parse_poly
 from fedosov.poly import BasePolynomial
 from fedosov.scalars import GaussianRational, I, ONE
 from fedosov.weyl import TruncationError, WeylAlgebra, WeylSeries, div_ihbar, sigma
 
 from conftest import rand_poly
-from oracles import abelian_r_iterative
+from oracles import abelian_r_iterative, commuting_case_shortcut
+from test_golden import COMMUTING_ZMAX, commuting_connections
 
 HALF_I = GaussianRational(0, Fraction(1, 2))
 
@@ -191,6 +194,8 @@ class TestCheck:
     def test_check_beyond_known_raises(self, r_curved):
         with pytest.raises(TruncationError):
             check_abelian(r_curved, N=12)
+        with pytest.raises(ValueError):
+            check_abelian(r_curved, N=2)
 
 
 class TestFiniteness:
@@ -320,6 +325,25 @@ class TestRationalEngine:
                 counts.append((solve, built[0]))
                 assert not lift.series.is_zero()
             assert counts[1] == counts[0], counts
+        # the check and the closure sweep read R and flat keys from the
+        # correction, so they build none and form no second curvature
+        curvatures = []
+        curvature = abelian.curvature_form
+
+        def counting_curvature(*args):
+            curvatures.append(args)
+            return curvature(*args)
+
+        monkeypatch.setattr(abelian, "curvature_form", counting_curvature)
+        m, c = curved2
+        for N in (6, 12):
+            r = abelian_r(m, c, N)
+            built[0] = 0
+            curvatures.clear()
+            report = check_abelian(r)
+            sweep = [finiteness_test(r, mm) for mm in range(4, N + 1)]
+            assert (built[0], len(curvatures)) == (0, 0)
+            assert report.ok and sweep
 
 
 class TestCommutingShortcut:
@@ -339,6 +363,53 @@ class TestCommutingShortcut:
         m, c = curved2
         with pytest.raises(CommutingHypothesisError):
             commuting_case_degree(m, c, 6)
+
+    def test_curved_raises_before_any_derivative(self, curved2, monkeypatch):
+        # r[3] o r[3] != 0 stops the walk at its first grade
+        calls = []
+        cov_d = abelian.covariant_d
+
+        def counting_cov_d(*args):
+            calls.append(args)
+            return cov_d(*args)
+
+        monkeypatch.setattr(abelian, "covariant_d", counting_cov_d)
+        with pytest.raises(CommutingHypothesisError, match=r"r\[3\] o r\[3\]"):
+            commuting_case_degree(*curved2, 24)
+        assert calls == []
+
+    @staticmethod
+    def outcome(route, m, c):
+        try:
+            res = route(m, c, COMMUTING_ZMAX)
+        except CommutingHypothesisError as exc:
+            return str(exc)
+        return res.kind, res.z, res.r_degree
+
+    def test_reference_route_agrees(self):
+        # one connection per outcome: zero curvature, finite at z = 4..9,
+        # not finite within z_max, and raises at r[3] o r[3] and r[3] o r[4]
+        outcomes = set()
+        for name, (m, c) in commuting_connections().items():
+            got = self.outcome(commuting_case_degree, m, c)
+            assert got == self.outcome(commuting_case_shortcut, m, c), name
+            outcomes.add(got)
+        assert len(outcomes) == 10
+
+    def test_reference_route_agrees_on_sample(self):
+        triples = list(combinations_with_replacement((1, 3, 4), 3))
+        coeffs = ["1", "q3", "q4", "q3^2", "q3^3"]
+        rng = random.Random(8)
+        m = ManifoldSpec.standard(4)
+        outcomes = set()
+        for _ in range(100):
+            entries = [(t, parse_poly(rng.choice(coeffs), 4))
+                       for t in rng.sample(triples, rng.randint(1, 2))]
+            c = ConnectionSpec(4, entries)
+            got = self.outcome(commuting_case_degree, m, c)
+            assert got == self.outcome(commuting_case_shortcut, m, c), entries
+            outcomes.add(got)
+        assert len(outcomes) > 2
 
 
 class TestFlatSections:
@@ -392,6 +463,8 @@ class TestFlatSections:
     def test_guards(self, r_curved):
         with pytest.raises(TruncationError):
             flat_section(r_curved, BasePolynomial.variable(2, 1), 12)
+        with pytest.raises(ValueError):
+            flat_section(r_curved, BasePolynomial.variable(2, 1), -1)
         with pytest.raises(ValueError):
             flat_section(r_curved, BasePolynomial.variable(4, 1), 4)
 
@@ -447,6 +520,14 @@ class TestStar:
         a0 = rand_poly(rng, 2, deg=2, terms=2)
         b0 = rand_poly(rng, 2, deg=2, terms=2)
         assert star(m, c, a0, b0, 0) == ({0: a0 * b0} if not (a0 * b0).is_zero() else {})
+
+    def test_negative_order_rejected(self, curved2, r_curved):
+        m, c = curved2
+        q = BasePolynomial.variable(2, 1)
+        with pytest.raises(ValueError):
+            star(m, c, q, q, -1, r=r_curved)
+        with pytest.raises(ValueError):
+            star_hbar(m, c, {0: q}, {0: q}, -1, r=r_curved)
 
     def test_short_r_rejected(self, curved2, r_curved):
         m, c = curved2

@@ -1,6 +1,7 @@
 """Frozen golden corpus: solver, checks, closure verdicts, flat sections,
-star products and the prop41 transcript on fixed inputs, compared byte for
-byte with tests/golden/corpus.json.
+star products, the commuting-case shortcut, the prop41 and finite
+transcripts and the demo scripts' output on fixed inputs, compared byte
+for byte with tests/golden/corpus.json.
 
 Regenerate the file only when a change of output is intended:
 
@@ -12,13 +13,16 @@ import io
 import json
 import pathlib
 import random
+import subprocess
 import sys
 
 from fedosov import cli, weyl
 from fedosov.abelian import (
     AbelianCorrection,
+    CommutingHypothesisError,
     abelian_r,
     check_abelian,
+    commuting_case_degree,
     finiteness_test,
     flat_section,
     star,
@@ -56,6 +60,20 @@ COMPLEX_STAR_PAIRS = {
     2: [("q1", "i*q2^2"), ("q1 + i*q2", "q1*q2")],
     4: [("q1", "i*q2^2"), ("q1 + i*q3", "q2 + q4")],
 }
+# commuting_case_degree at COMMUTING_ZMAX, one connection per outcome:
+# zero curvature, finite at z = 4..9, not finite within z_max, and the
+# hypothesis failing at r[3] o r[3] and at r[3] o r[4]
+COMMUTING_ZMAX = 9
+COMMUTING_4D = {
+    "G111=q3^2": [((1, 1, 1), "q3^2")],
+    "G111=q3^3": [((1, 1, 1), "q3^3")],
+    "G113=q3^2,G114=1": [((1, 1, 3), "q3^2"), ((1, 1, 4), "1")],
+    "G111=q3^3,G114=1": [((1, 1, 1), "q3^3"), ((1, 1, 4), "1")],
+    "G113=q3^3,G114=1": [((1, 1, 3), "q3^3"), ((1, 1, 4), "1")],
+    "G114=1,G133=q3^3": [((1, 1, 4), "1"), ((1, 3, 3), "q3^3")],
+    "G111=q4,G133=1": [((1, 1, 1), "q4"), ((1, 3, 3), "1")],
+}
+FINITE_ZMAX = 8
 
 
 def connections():
@@ -79,6 +97,15 @@ def complex_connections():
         "custom4d": (ManifoldSpec(4, [[0, 2, 1, 0], [-2, 0, 0, -3], [-1, 0, 0, 3], [0, 3, -3, 0]]),
                      ConnectionSpec(4, [((1, 1, 2), 1), ((3, 4, 4), parse_poly("-1/3 + i", 4))])),
     }
+
+
+def commuting_connections():
+    specs = connections()
+    out = {name: specs[name] for name in ("flat2d", "commuting4d", "curved2d")}
+    for name, gamma in COMMUTING_4D.items():
+        out[name] = (ManifoldSpec.standard(4),
+                     ConnectionSpec(4, [(idx, parse_poly(text, 4)) for idx, text in gamma]))
+    return out
 
 
 def records(s: WeylSeries | None):
@@ -151,11 +178,49 @@ def prop41_entry():
     return entry
 
 
+def commuting_entry():
+    """commuting_case_degree's result or error on each commuting connection."""
+    entry = {}
+    for name, (m, c) in commuting_connections().items():
+        try:
+            res = commuting_case_degree(m, c, COMMUTING_ZMAX)
+        except CommutingHypothesisError as exc:
+            entry[name] = {"error": type(exc).__name__, "message": str(exc)}
+        else:
+            entry[name] = {"kind": res.kind, "z": res.z, "r_degree": res.r_degree}
+    return entry
+
+
+def finite_entry():
+    """`fedosov finite <manifest> --zmax FINITE_ZMAX` exit code and output."""
+    entry = {}
+    for name in ("flat2d", "curved2d", "commuting4d"):
+        argv = ["finite", str(ROOT / "manifests" / f"{name}.json"), "--zmax", str(FINITE_ZMAX)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        entry[name] = {"exit": code, "stdout": out.getvalue()}
+    return entry
+
+
+def demos_entry():
+    """Output of each script under scripts/ run with its default arguments."""
+    entry = {}
+    for script in sorted((ROOT / "scripts").glob("*.py")):
+        done = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                              check=True, timeout=120)
+        entry[script.name] = done.stdout
+    return entry
+
+
 def corpus() -> dict:
     data = {name: connection_entry(m, c) for name, (m, c) in connections().items()}
     for name, (m, c) in complex_connections().items():
         data[name] = connection_entry(m, c, COMPLEX_N, COMPLEX_OBSERVABLES, COMPLEX_STAR_PAIRS)
     data["prop41"] = prop41_entry()
+    data["commuting"] = commuting_entry()
+    data["finite_cli"] = finite_entry()
+    data["demos"] = demos_entry()
     return data
 
 
