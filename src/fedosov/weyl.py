@@ -25,7 +25,8 @@ Only the public constructors validate terms; the operators here store
 terms they built themselves unchecked, keeping the known_through cut.
 
 Every product reads one contraction kernel per omega: for a pair of fiber
-exponents the list of (nu shift, output fiber, scalar) terms, built once
+exponents, the Moyal exponential exp((nu/2) P) of X^alpha o X^beta as one
+(nu shift, output fiber, scalar) entry per nonzero output term, built once
 per process and shared by all algebras with the same omega.
 """
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from operator import add
 
 from .poly import BasePolynomial
@@ -339,39 +341,34 @@ _KERNELS: dict = {}
 
 
 def _kernel(pairs, alpha, beta, mode) -> tuple:
-    """The terms of X^alpha o X^beta as (t, output fiber, scalar).
+    """X^alpha o X^beta = exp((nu/2) P)(X^alpha, X^beta) as (t, output fiber,
+    scalar), one entry per nonzero term.
 
-    A contraction multi-index mu on the pairs (i, j, w) contributes the
-    rational (nu/2)^t prod w^mu / mu! times the falling factorials of the
-    derivatives, t = |mu|.  Mode _CIRC keeps every t, _COMMUTATOR the odd
-    t doubled and _XFREE only the terms whose output fiber is zero.
+    P sums w d/dX^i (left) d/dX^j (right) over omega's pairs (i, j, w).
+    Level t applies P to the merged (left, right) exponent pairs of level
+    t - 1 and enters with 1/(t! 2^t).  Mode _CIRC keeps every t,
+    _COMMUTATOR the odd t doubled and _XFREE only the zero output fiber.
     """
     out = []
-
-    def rec(idx, la, lb, t, scale):
-        if idx == len(pairs):
-            fiber = tuple(x + y for x, y in zip(la, lb))
-            if mode == _COMMUTATOR:
-                if not t % 2:
-                    return
-                scale *= 2
-            elif mode == _XFREE and any(fiber):
-                return
-            out.append((t, fiber, scale / 2**t))
-            return
-        i, j, w = pairs[idx]
-        mmax = min(la[i], lb[j])
-        for m in range(mmax + 1):
-            if m:
-                # one more contraction on (i, j): X^i and X^j each lose a power
-                scale = scale * w * la[i] * lb[j] / m
-                la[i] -= 1
-                lb[j] -= 1
-            rec(idx + 1, la, lb, t + m, scale)
-        la[i] += mmax
-        lb[j] += mmax
-
-    rec(0, list(alpha), list(beta), 0, Fraction(1))
+    level = {(alpha, beta): 1}
+    t = 0
+    while level:
+        if mode != _COMMUTATOR or t % 2:
+            merged: dict = {}
+            for (la, lb), c in level.items():
+                fiber = tuple(map(add, la, lb))
+                if mode != _XFREE or not any(fiber):
+                    merged[fiber] = merged.get(fiber, 0) + c
+            scale = Fraction(2 if mode == _COMMUTATOR else 1, factorial(t) * 2**t)
+            out.extend((t, fiber, c * scale) for fiber, c in merged.items() if c)
+        applied: dict = {}
+        for (la, lb), c in level.items():
+            for i, j, w in pairs:
+                if la[i] and lb[j]:
+                    key = (la[:i] + (la[i] - 1,) + la[i + 1:], lb[:j] + (lb[j] - 1,) + lb[j + 1:])
+                    applied[key] = applied.get(key, 0) + c * w * la[i] * lb[j]
+        level = {key: c for key, c in applied.items() if c}
+        t += 1
     return tuple(out)
 
 
@@ -397,13 +394,14 @@ class WeylAlgebra:
         self.omega_upper = tuple(tuple(Fraction(v) for v in row) for row in omega_upper)
         if len(self.omega_upper) != dim or any(len(r) != dim for r in self.omega_upper):
             raise ValueError("omega_upper must be dim x dim")
-        # nonzero entries as (left fiber index, right fiber index, weight)
-        self._pairs = tuple(
-            (i, j, self.omega_upper[i][j])
-            for i in range(dim)
-            for j in range(dim)
-            if self.omega_upper[i][j]
-        )
+        if any(w != -self.omega_upper[j][i] for i, row in enumerate(self.omega_upper)
+               for j, w in enumerate(row)):
+            raise ValueError("omega_upper must be antisymmetric")
+        # nonzero entries as (left fiber index, right fiber index, weight),
+        # whole weights as int so that kernel levels accumulate in integers
+        self._pairs = tuple((i, j, int(w) if w.denominator == 1 else w)
+                            for i, row in enumerate(self.omega_upper)
+                            for j, w in enumerate(row) if w)
         self._kernels = _KERNELS.setdefault(self._pairs, {})
 
     # -- product --------------------------------------------------------
@@ -411,16 +409,15 @@ class WeylAlgebra:
     def circ(self, a: WeylSeries, b: WeylSeries, cap=None) -> WeylSeries:
         """a o b, the term-wise contraction product.
 
-        For monomial fibers it expands as a finite sum over contraction
-        multi-indices mu on the nonzero omega^{ij} slots:
+        For monomial fibers it is the Moyal exponential, a finite sum
 
-            sum_mu  (i*hbar/2)^{|mu|} / mu!  *  prod omega^{ij}^{mu_ij}
-                    * d^mu_left(X^alpha) * d^mu_right(X^beta)
+            X^alpha o X^beta = sum_t (i*hbar/2)^t / t! * P^t(X^alpha, X^beta),
+            P = sum_ij omega^{ij} d/dX^i (left) d/dX^j (right).
 
         Degrees add: every product term has degree deg(a_term) + deg(b_term).
         The terms for a pair of fibers are read from the algebra's memoized
-        kernel: rational scalars at powers of nu = i*hbar, each computed once
-        per omega and fiber pair.
+        kernel: one rational scalar per power of nu = i*hbar and output
+        fiber, computed once per omega and fiber pair.
         Raises TruncationError when `cap` exceeds what the operands' own
         truncation bounds can determine.
         """

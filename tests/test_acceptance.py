@@ -192,6 +192,19 @@ def test_curved_correction_series(capsys, curved2):
             assert it.part(z) == r.part(z)
 
 
+def test_curved_correction_never_terminates(capsys, curved2):
+    # the paper's square argument on the solver's own output: for every
+    # candidate stop m the closure system fails at z = 2m-3, where
+    # r[m-1] o r[m-1] would have to vanish
+    q1, q2 = BasePolynomial.variable(2, 1), BasePolynomial.variable(2, 2)
+    poly2 = (curved2[0], ConnectionSpec(2, [((1, 1, 1), q2), ((1, 2, 2), q1)]))
+    with criterion(capsys, "curved 2D closure system fails at every m", budget=30.0):
+        for (m, c), N in ((curved2, 18), (poly2, 10)):
+            r = abelian_r(m, c, N)
+            for mm in range(4, N + 1):
+                assert finiteness_test(r, mm).square_violated, (N, mm)
+
+
 def test_four_dim_terminating_case(capsys, comm4):
     with criterion(capsys, "4D terminating correction"):
         m, c = comm4

@@ -7,6 +7,7 @@ import pytest
 from fedosov import weyl
 from fedosov.poly import BasePolynomial
 from fedosov.scalars import GaussianRational, I, i_power
+from fedosov.twodim import _f_raw
 from fedosov.weyl import (
     DivisibilityError,
     TruncationError,
@@ -176,27 +177,45 @@ class TestCirc:
         assert nonzero > 35
 
     def test_kernel_matches_uncached_contractions(self):
-        # every memoized kernel entry, mode by mode, against the per-call
-        # recursion: all fiber pairs through length 4 in 2D, 3 in 4D
+        # every memoized kernel, mode by mode, against the per-call recursion
+        # summed per (t, output fiber): all fiber pairs through length 4 in
+        # 2D, 3 in 4D; one entry per output term, none of them zero
         nonzero = 0
         for alg, length in ((ALG2, 4), (ALG4, 3), (CUSTOM4, 3)):
             fibers = [f for f in itertools.product(range(length + 1), repeat=alg.dim)
                       if sum(f) <= length]
             for alpha, beta in itertools.product(fibers, repeat=2):
-                terms = [(t, tuple(a + b - x - y for a, b, x, y in zip(alpha, beta, left, right)), s)
-                         for t, s, left, right in contractions_uncached(alg, alpha, beta)]
+                sums: dict = {}
+                for t, s, left, right in contractions_uncached(alg, alpha, beta):
+                    key = (t, tuple(a + b - x - y for a, b, x, y in zip(alpha, beta, left, right)))
+                    sums[key] = sums.get(key, 0) + s
+                terms = {key: s for key, s in sums.items() if s}
                 want = {
                     weyl._CIRC: terms,
-                    weyl._COMMUTATOR: [(t, f, 2 * s) for t, f, s in terms if t % 2],
-                    weyl._XFREE: [(t, f, s) for t, f, s in terms if not any(f)],
+                    weyl._COMMUTATOR: {(t, f): 2 * s for (t, f), s in terms.items() if t % 2},
+                    weyl._XFREE: {(t, f): s for (t, f), s in terms.items() if not any(f)},
                 }
                 for mode, entries in want.items():
                     # the kernel stores the scalar of nu^t = (i hbar)^t
                     got = weyl._kernel(alg._pairs, alpha, beta, mode)
-                    assert all(type(s) is Fraction for _, _, s in got)
-                    assert [(t, f, i_power(t) * s) for t, f, s in got] == entries
+                    assert all(type(s) is Fraction and s for _, _, s in got)
+                    as_map = {(t, f): i_power(t) * s for t, f, s in got}
+                    assert len(as_map) == len(got)
+                    assert as_map == entries
                 nonzero += bool(want[weyl._XFREE])
         assert nonzero > 50
+
+    def test_kernel_matches_closed_form_2d(self):
+        # the 2D kernel is the closed form f(r, j, s, k, t) of
+        # (X1^r X2^j) o (X1^s X2^k) at fiber (r+s-t, j+k-t), nothing missing
+        # and nothing extra: all fiber pairs through length 6
+        fibers = [f for f in itertools.product(range(7), repeat=2) if sum(f) <= 6]
+        for (r, j), (s, k) in itertools.product(fibers, repeat=2):
+            want = {(t, (r + s - t, j + k - t)): _f_raw(r, j, s, k, t)
+                    for t in range(min(r, k) + min(j, s) + 1)}
+            got = weyl._kernel(ALG2._pairs, (r, j), (s, k), weyl._CIRC)
+            assert len(got) == len({(t, f) for t, f, _ in got})
+            assert {(t, f): c for t, f, c in got} == {key: c for key, c in want.items() if c}
 
     def test_kernel_built_once_per_key(self, monkeypatch):
         # a fresh table, shared across algebras of equal omega: every key
@@ -226,6 +245,14 @@ class TestCirc:
         alg = WeylAlgebra(2, [[Fraction(0), Fraction(2)], [Fraction(-2), Fraction(0)]])
         c = alg.commutator(xmono(2, X1=1), xmono(2, X2=1))
         assert c == WeylSeries.build(2, [(2 * I, 1, (0, 0), ())])
+
+    def test_non_antisymmetric_omega_rejected(self):
+        # the one-pass commutator keeps the odd orders, which is a o b -+ b o a
+        # only for an antisymmetric omega
+        for omega in ([[0, 1], [1, 0]], [[1, 1], [-1, 0]],
+                      [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -1, 0]]):
+            with pytest.raises(ValueError, match="antisymmetric"):
+                WeylAlgebra(len(omega), omega)
 
 
 class TestGradingHelpers:
