@@ -10,56 +10,65 @@ the l = m = 0 part.  delta^2 = delta_inv^2 = 0 and on each term with
 l + m > 0 the two compose to the identity:
 
     a = delta delta_inv a + delta_inv delta a + a_00.
+
+The three operators accumulate integers over one denominator per call,
+delta_inv's weights 1/(l+m) over their lcm, and form one Fraction per term.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 
-from .weyl import WeylAlgebra, WeylSeries, div_ihbar, wedge_normalize
+from .weyl import WeylAlgebra, WeylSeries, _merge, _numerators, _rationals, div_ihbar
+
+
+def _linear(a: WeylSeries, shift: int, each, scale: int = 1) -> WeylSeries:
+    """Sum over a's terms c * key of m * c at every (image, m) of each(*key),
+    in ints over a's denominator * scale, known through a's bound + shift."""
+    den, *parts = _numerators(a._terms)
+    sums = []
+    for part in parts:
+        out: dict = {}
+        for key, n in part.items():
+            for image, m in each(*key):
+                out[image] = out.get(image, 0) + m * n
+        sums.append(out)
+    known = a.known_through if a.known_through is None else a.known_through + shift
+    result = WeylSeries(a.dim, known_through=known)
+    result._terms = _rationals(*sums, den * scale)
+    return result
 
 
 def delta(a: WeylSeries) -> WeylSeries:
-    known = a.known_through if a.known_through is None else a.known_through - 1
-    out = WeylSeries(a.dim, known_through=known)
-    for (k, f, w, e), c in a._terms.items():
+    def each(k, f, w, e):
         for i, fi in enumerate(f):
-            if fi == 0:
-                continue
-            word, sign = wedge_normalize((i + 1,) + w, a.dim)
-            if sign == 0:
-                continue
-            out._add_term(k, f[:i] + (fi - 1,) + f[i + 1 :], word, e, c * (sign * fi))
-    return out
+            word, sign = _merge((i + 1,), w) if fi else ((), 0)
+            if sign:
+                yield (k, f[:i] + (fi - 1,) + f[i + 1 :], word, e), sign * fi
+
+    return _linear(a, -1, each)
 
 
 def delta_inv(a: WeylSeries) -> WeylSeries:
-    known = a.known_through if a.known_through is None else a.known_through + 1
-    out = WeylSeries(a.dim, known_through=known)
-    for (k, f, w, e), c in a._terms.items():
-        l, m = sum(f), len(w)
-        if l + m == 0:
-            continue
-        scale = Fraction(1, l + m)
+    weight = lcm(*{sum(f) + len(w) for _, f, w, _ in a._terms if w})
+
+    def each(k, f, w, e):
+        m = weight // (sum(f) + len(w)) if w else 0
         for pos, j in enumerate(w):
-            sign = -1 if pos % 2 else 1
             fiber = f[: j - 1] + (f[j - 1] + 1,) + f[j:]
-            word = w[:pos] + w[pos + 1 :]
-            out._add_term(k, fiber, word, e, c * (sign * scale))
-    return out
+            yield (k, fiber, w[:pos] + w[pos + 1 :], e), -m if pos % 2 else m
+
+    return _linear(a, 1, each, weight)
 
 
 def ext_d(a: WeylSeries) -> WeylSeries:
-    out = WeylSeries(a.dim, known_through=a.known_through)
-    for (k, f, w, e), c in a._terms.items():
+    def each(k, f, w, e):
         for i, ei in enumerate(e):
-            if ei == 0:
-                continue
-            word, sign = wedge_normalize((i + 1,) + w, a.dim)
-            if sign == 0:
-                continue
-            out._add_term(k, f, word, e[:i] + (ei - 1,) + e[i + 1 :], c * (sign * ei))
-    return out
+            word, sign = _merge((i + 1,), w) if ei else ((), 0)
+            if sign:
+                yield (k, f, word, e[:i] + (ei - 1,) + e[i + 1 :]), sign * ei
+
+    return _linear(a, 0, each)
 
 
 def hodge_split(a: WeylSeries):

@@ -26,19 +26,22 @@ terms they built themselves unchecked, keeping the known_through cut.
 
 Every product reads one contraction kernel per omega: for a pair of fiber
 exponents, the Moyal exponential exp((nu/2) P) of X^alpha o X^beta as one
-(nu shift, output fiber, scalar) entry per nonzero output term, built once
-per process and shared by all algebras with the same omega.
+(nu shift t, output fiber, int numerator over (2 D)^t, D the lcm of omega's
+denominators) entry per nonzero output term, built once per process and
+shared by all algebras with the same omega.  A product sums int numerators
+over one denominator, the real and imaginary parts of complex operands
+apart, and forms one Fraction per output term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from operator import add
 
 from .poly import BasePolynomial
-from .scalars import _accumulate, _coeff, i_power
+from .scalars import GaussianRational, _accumulate, _coeff, i_power
 
 
 class TruncationError(ValueError):
@@ -55,21 +58,41 @@ def wedge_normalize(indices, dim: int):
     Returns (word, sign) with sign in {+1, -1}, or ((), 0) when an index
     repeats.  Indices are 1-based and must lie in 1..dim.
     """
-    word = list(indices)
+    word = tuple(indices)
     for j in word:
         if not 1 <= j <= dim:
             raise ValueError(f"wedge index {j} out of range 1..{dim}")
     if len(set(word)) != len(word):
         return (), 0
-    # insertion sort; count transpositions for the sign
-    sign = 1
-    for a in range(1, len(word)):
-        b = a
-        while b > 0 and word[b - 1] > word[b]:
-            word[b - 1], word[b] = word[b], word[b - 1]
-            sign = -sign
-            b -= 1
-    return tuple(word), sign
+    # the sign is the parity of the inversions, the transpositions a sort makes
+    inversions = sum(x > y for a, x in enumerate(word) for y in word[a + 1:])
+    return tuple(sorted(word)), -1 if inversions % 2 else 1
+
+
+def _merge(w1, w2):
+    """wedge_normalize(w1 + w2) for two increasing words, unchecked."""
+    if not set(w1).isdisjoint(w2):
+        return (), 0
+    return tuple(sorted(w1 + w2)), -1 if sum(x > y for x in w1 for y in w2) % 2 else 1
+
+
+def _numerators(terms: dict):
+    """(D, real, imaginary): a flat map's scalars as int numerators over D,
+    the lcm of their denominators; imaginary is empty for a real map."""
+    parts = ({key: c.re if type(c) is GaussianRational else c for key, c in terms.items()},
+             {key: c.im for key, c in terms.items() if type(c) is GaussianRational})
+    den = lcm(*{c.denominator for part in parts for c in part.values()})
+    return den, *({key: c.numerator * (den // c.denominator) for key, c in part.items()}
+                  for part in parts)
+
+
+def _rationals(re: dict, im: dict, den: int) -> dict:
+    """The flat map of int numerators over den, one Fraction per nonzero
+    part, stored as _coeff stores it."""
+    out = {key: Fraction(n, den) for key, n in re.items() if n}
+    out.update((key, GaussianRational(out.get(key, 0), Fraction(n, den)))
+               for key, n in im.items() if n)
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,13 +365,16 @@ _KERNELS: dict = {}
 
 def _kernel(pairs, alpha, beta, mode) -> tuple:
     """X^alpha o X^beta = exp((nu/2) P)(X^alpha, X^beta) as (t, output fiber,
-    scalar), one entry per nonzero term.
+    n), one entry per nonzero term, of scalar n / (2 D)^t.
 
     P sums w d/dX^i (left) d/dX^j (right) over omega's pairs (i, j, w).
-    Level t applies P to the merged (left, right) exponent pairs of level
-    t - 1 and enters with 1/(t! 2^t).  Mode _CIRC keeps every t,
-    _COMMUTATOR the odd t doubled and _XFREE only the zero output fiber.
+    Level t applies the integer D P to the (left, right) exponent pairs of
+    level t - 1; merged per output fiber it divides exactly by t!, as
+    P^t / t! maps monomials to integer combinations.  Mode _CIRC keeps
+    every t, _COMMUTATOR the odd t doubled, _XFREE the zero output fiber.
     """
+    den = lcm(*{w.denominator for _, _, w in pairs})
+    pairs = [(i, j, int(w * den)) for i, j, w in pairs]
     out = []
     level = {(alpha, beta): 1}
     t = 0
@@ -359,8 +385,11 @@ def _kernel(pairs, alpha, beta, mode) -> tuple:
                 fiber = tuple(map(add, la, lb))
                 if mode != _XFREE or not any(fiber):
                     merged[fiber] = merged.get(fiber, 0) + c
-            scale = Fraction(2 if mode == _COMMUTATOR else 1, factorial(t) * 2**t)
-            out.extend((t, fiber, c * scale) for fiber, c in merged.items() if c)
+            fact = factorial(t)
+            if t > 1 and any(c % fact for c in merged.values()):
+                raise ArithmeticError(f"kernel level {t} not divisible by {t}!")
+            double = 2 if mode == _COMMUTATOR else 1
+            out.extend((t, fiber, double * c // fact) for fiber, c in merged.items() if c)
         applied: dict = {}
         for (la, lb), c in level.items():
             for i, j, w in pairs:
@@ -379,7 +408,7 @@ class WeylAlgebra:
     omega^{2a-1,2a} = +1, so that X^1 o X^2 - X^2 o X^1 = i*hbar.
     """
 
-    __slots__ = ("dim", "omega_upper", "_pairs", "_kernels")
+    __slots__ = ("dim", "omega_upper", "_pairs", "_kernels", "_scale")
 
     def __init__(self, dim: int, omega_upper=None):
         if dim < 2 or dim % 2:
@@ -403,6 +432,8 @@ class WeylAlgebra:
                             for i, row in enumerate(self.omega_upper)
                             for j, w in enumerate(row) if w)
         self._kernels = _KERNELS.setdefault(self._pairs, {})
+        # a kernel entry (t, fiber, n) has scalar n / _scale^t
+        self._scale = 2 * lcm(*{w.denominator for _, _, w in self._pairs})
 
     # -- product --------------------------------------------------------
 
@@ -416,8 +447,9 @@ class WeylAlgebra:
 
         Degrees add: every product term has degree deg(a_term) + deg(b_term).
         The terms for a pair of fibers are read from the algebra's memoized
-        kernel: one rational scalar per power of nu = i*hbar and output
-        fiber, computed once per omega and fiber pair.
+        kernel: per power nu^t, nu = i*hbar, and output fiber one integer
+        numerator over (2 D)^t, D the lcm of omega's denominators, computed
+        once per omega and fiber pair.
         Raises TruncationError when `cap` exceeds what the operands' own
         truncation bounds can determine.
         """
@@ -439,33 +471,50 @@ class WeylAlgebra:
 
     def _product(self, a: WeylSeries, b: WeylSeries, eff, mode=_CIRC) -> WeylSeries:
         """Sum of the kernel terms of every pair of (nu, fiber, word) groups
-        through degree eff."""
+        through degree eff, in ints over D_a D_b (2 D)^T, T the top kernel
+        order reached (kernels list t in rising order).  Groups carry a unit
+        u, 1 for an imaginary part: two of them make a real term, negated."""
+        den_a, *parts_a = _numerators(a._terms)
+        den_b, *parts_b = _numerators(b._terms)
+        right = [(u, k2, f2, w2, q2, 2 * k2 + sum(f2)) for u, part in enumerate(parts_b)
+                 for (k2, f2, w2), q2 in _groups(part).items()]
+        words = {(w1, w2): _merge(w1, w2) for w1 in {key[2] for key in a._terms}
+                 for w2 in {key[2] for key in b._terms}}
+        kernels, jobs, top = self._kernels, [], 0
+        for u1, part in enumerate(parts_a):
+            for (k1, f1, w1), q1 in _groups(part).items():
+                d1 = 2 * k1 + sum(f1)
+                for u2, k2, f2, w2, q2, d2 in right:
+                    if eff is not None and d1 + d2 > eff:
+                        continue
+                    kernel = kernels.get((f1, f2, mode))
+                    if kernel is None:
+                        kernel = kernels[(f1, f2, mode)] = _kernel(self._pairs, f1, f2, mode)
+                    if not kernel:
+                        continue
+                    word, sign = words[(w1, w2)]
+                    if sign == 0:
+                        continue
+                    # the q-parts multiply once, so like q-terms merge before the kernel
+                    base: dict = {}
+                    for e1, c1 in q1.items():
+                        for e2, c2 in q2.items():
+                            e = tuple(map(add, e1, e2))
+                            base[e] = base.get(e, 0) + c1 * c2
+                    jobs.append(((u1 + u2) % 2, k1 + k2, word, -sign if u1 + u2 == 2 else sign,
+                                 kernel, base))
+                    top = max(top, kernel[-1][0])
+        powers = [self._scale ** (top - t) for t in range(top + 1)]
+        acc = ({}, {})
+        for u, k, word, sign, kernel, base in jobs:
+            terms = acc[u]
+            for t, fiber, n in kernel:
+                n *= sign * powers[t]
+                for e, c in base.items():
+                    key = (k + t, fiber, word, e)
+                    terms[key] = terms.get(key, 0) + c * n
         out = WeylSeries(self.dim, known_through=eff)
-        terms, kernels = out._terms, self._kernels
-        right = [(k2, f2, w2, q2, 2 * k2 + sum(f2))
-                 for (k2, f2, w2), q2 in _groups(b._terms).items()]
-        for (k1, f1, w1), q1 in _groups(a._terms).items():
-            d1 = 2 * k1 + sum(f1)
-            for k2, f2, w2, q2, d2 in right:
-                if eff is not None and d1 + d2 > eff:
-                    continue
-                kernel = kernels.get((f1, f2, mode))
-                if kernel is None:
-                    kernel = kernels[(f1, f2, mode)] = _kernel(self._pairs, f1, f2, mode)
-                if not kernel:
-                    continue
-                word, sign = wedge_normalize(w1 + w2, self.dim)
-                if sign == 0:
-                    continue
-                # the q-parts multiply once, so like q-terms merge before the kernel
-                base: dict = {}
-                for e1, c1 in q1.items():
-                    for e2, c2 in q2.items():
-                        c = c1 * c2
-                        _accumulate(base, tuple(map(add, e1, e2)), c if sign > 0 else -c)
-                for t, fiber, scalar in kernel:
-                    for e, c in base.items():
-                        _accumulate(terms, (k1 + k2 + t, fiber, word, e), c * scalar)
+        out._terms = _rationals(*acc, den_a * den_b * self._scale ** top)
         return out
 
     def _xfree(self, a: WeylSeries, b: WeylSeries, cap) -> WeylSeries:

@@ -4,17 +4,20 @@ Each computes a result the library also computes, by a slower and more
 direct route: the whole-series fixed point for the graded solver, a
 bracket-free recursion checked pair by pair afterwards for the
 commuting-case shortcut, two full products per pair of form degrees for
-the one-pass commutator, and the per-call contraction recursion for the
-memoized product kernel.
+the one-pass commutator, the per-call contraction recursion for the
+memoized product kernel, and term-by-term scalar loops for the integer
+product and graded operators.
 """
 
 from fractions import Fraction
+from operator import add
 
+from fedosov import weyl
 from fedosov.abelian import AbelianCorrection, CommutingCaseResult, CommutingHypothesisError
 from fedosov.calculus import covariant_d, delta_inv
 from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
-from fedosov.scalars import i_power
-from fedosov.weyl import WeylAlgebra, WeylSeries, div_ihbar
+from fedosov.scalars import _accumulate, _coeff, i_power
+from fedosov.weyl import WeylAlgebra, WeylSeries, div_ihbar, wedge_normalize
 
 
 def abelian_r_iterative(m: ManifoldSpec, c: ConnectionSpec, steps: int, N: int) -> AbelianCorrection:
@@ -140,3 +143,94 @@ def contractions_uncached(alg: WeylAlgebra, alpha, beta):
 
     rec(0, list(alpha), list(beta), [])
     return results
+
+
+def kernel_uncached(alg: WeylAlgebra, alpha, beta, mode):
+    """contractions_uncached summed per (t, output fiber) as {(t, fiber):
+    scalar of nu^t}, zero sums dropped, filtered and doubled as `mode` asks."""
+    sums: dict = {}
+    for t, s, left, right in contractions_uncached(alg, alpha, beta):
+        fiber = tuple(a + b - x - y for a, b, x, y in zip(alpha, beta, left, right))
+        sums[(t, fiber)] = sums.get((t, fiber), 0) + s
+    out = {}
+    for (t, fiber), s in sums.items():
+        s = _coeff(i_power(-t) * s)
+        if not s or (mode == weyl._COMMUTATOR and not t % 2) or (mode == weyl._XFREE and any(fiber)):
+            continue
+        out[(t, fiber)] = 2 * s if mode == weyl._COMMUTATOR else s
+    return out
+
+
+def product_reference(alg: WeylAlgebra, a: WeylSeries, b: WeylSeries, eff, mode=weyl._CIRC) -> WeylSeries:
+    """WeylAlgebra._product by one scalar multiplication per base term and
+    kernel entry, with every kernel summed from contractions_uncached."""
+    out = WeylSeries(alg.dim, known_through=eff)
+    terms = out._terms
+    right = [(k2, f2, w2, q2, 2 * k2 + sum(f2))
+             for (k2, f2, w2), q2 in weyl._groups(b._terms).items()]
+    for (k1, f1, w1), q1 in weyl._groups(a._terms).items():
+        d1 = 2 * k1 + sum(f1)
+        for k2, f2, w2, q2, d2 in right:
+            if eff is not None and d1 + d2 > eff:
+                continue
+            kernel = kernel_uncached(alg, f1, f2, mode)
+            if not kernel:
+                continue
+            word, sign = wedge_normalize(w1 + w2, alg.dim)
+            if sign == 0:
+                continue
+            base: dict = {}
+            for e1, c1 in q1.items():
+                for e2, c2 in q2.items():
+                    c = c1 * c2
+                    _accumulate(base, tuple(map(add, e1, e2)), c if sign > 0 else -c)
+            for (t, fiber), scalar in kernel.items():
+                for e, c in base.items():
+                    _accumulate(terms, (k1 + k2 + t, fiber, word, e), c * scalar)
+    return out
+
+
+def delta_reference(a: WeylSeries) -> WeylSeries:
+    """calculus.delta term by term in scalar arithmetic."""
+    known = a.known_through if a.known_through is None else a.known_through - 1
+    out = WeylSeries(a.dim, known_through=known)
+    for (k, f, w, e), c in a._terms.items():
+        for i, fi in enumerate(f):
+            if fi == 0:
+                continue
+            word, sign = wedge_normalize((i + 1,) + w, a.dim)
+            if sign == 0:
+                continue
+            out._add_term(k, f[:i] + (fi - 1,) + f[i + 1 :], word, e, c * (sign * fi))
+    return out
+
+
+def delta_inv_reference(a: WeylSeries) -> WeylSeries:
+    """calculus.delta_inv term by term in scalar arithmetic."""
+    known = a.known_through if a.known_through is None else a.known_through + 1
+    out = WeylSeries(a.dim, known_through=known)
+    for (k, f, w, e), c in a._terms.items():
+        l, m = sum(f), len(w)
+        if l + m == 0:
+            continue
+        scale = Fraction(1, l + m)
+        for pos, j in enumerate(w):
+            sign = -1 if pos % 2 else 1
+            fiber = f[: j - 1] + (f[j - 1] + 1,) + f[j:]
+            word = w[:pos] + w[pos + 1 :]
+            out._add_term(k, fiber, word, e, c * (sign * scale))
+    return out
+
+
+def ext_d_reference(a: WeylSeries) -> WeylSeries:
+    """calculus.ext_d term by term in scalar arithmetic."""
+    out = WeylSeries(a.dim, known_through=a.known_through)
+    for (k, f, w, e), c in a._terms.items():
+        for i, ei in enumerate(e):
+            if ei == 0:
+                continue
+            word, sign = wedge_normalize((i + 1,) + w, a.dim)
+            if sign == 0:
+                continue
+            out._add_term(k, f, word, e[:i] + (ei - 1,) + e[i + 1 :], c * (sign * ei))
+    return out

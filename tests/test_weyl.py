@@ -3,10 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedosov import weyl
+from fedosov.calculus import delta, delta_inv, ext_d
 from fedosov.poly import BasePolynomial
-from fedosov.scalars import GaussianRational, I, i_power
+from fedosov.scalars import GaussianRational, I, _accumulate
 from fedosov.twodim import _f_raw
 from fedosov.weyl import (
     DivisibilityError,
@@ -20,7 +22,14 @@ from fedosov.weyl import (
 )
 
 from conftest import rand_homogeneous, rand_poly, rand_series
-from oracles import commutator_two_products, contractions_uncached
+from oracles import (
+    commutator_two_products,
+    delta_inv_reference,
+    delta_reference,
+    ext_d_reference,
+    kernel_uncached,
+    product_reference,
+)
 
 ALG2 = WeylAlgebra(2)
 ALG4 = WeylAlgebra(4)
@@ -179,43 +188,37 @@ class TestCirc:
     def test_kernel_matches_uncached_contractions(self):
         # every memoized kernel, mode by mode, against the per-call recursion
         # summed per (t, output fiber): all fiber pairs through length 4 in
-        # 2D, 3 in 4D; one entry per output term, none of them zero
+        # 2D, 3 in 4D; one entry per output term, each a nonzero int
+        # numerator of its nu^t scalar over scale^t = (2 D)^t, D the lcm of
+        # omega's denominators
         nonzero = 0
-        for alg, length in ((ALG2, 4), (ALG4, 3), (CUSTOM4, 3)):
+        for alg, length, scale in ((ALG2, 4, 2), (ALG4, 3, 2), (CUSTOM4, 3, 6)):
             fibers = [f for f in itertools.product(range(length + 1), repeat=alg.dim)
                       if sum(f) <= length]
             for alpha, beta in itertools.product(fibers, repeat=2):
-                sums: dict = {}
-                for t, s, left, right in contractions_uncached(alg, alpha, beta):
-                    key = (t, tuple(a + b - x - y for a, b, x, y in zip(alpha, beta, left, right)))
-                    sums[key] = sums.get(key, 0) + s
-                terms = {key: s for key, s in sums.items() if s}
-                want = {
-                    weyl._CIRC: terms,
-                    weyl._COMMUTATOR: {(t, f): 2 * s for (t, f), s in terms.items() if t % 2},
-                    weyl._XFREE: {(t, f): s for (t, f), s in terms.items() if not any(f)},
-                }
-                for mode, entries in want.items():
-                    # the kernel stores the scalar of nu^t = (i hbar)^t
+                for mode in (weyl._CIRC, weyl._COMMUTATOR, weyl._XFREE):
+                    want = kernel_uncached(alg, alpha, beta, mode)
                     got = weyl._kernel(alg._pairs, alpha, beta, mode)
-                    assert all(type(s) is Fraction and s for _, _, s in got)
-                    as_map = {(t, f): i_power(t) * s for t, f, s in got}
+                    assert all(type(n) is int and n for _, _, n in got)
+                    as_map = {(t, f): Fraction(n, scale**t) for t, f, n in got}
                     assert len(as_map) == len(got)
-                    assert as_map == entries
-                nonzero += bool(want[weyl._XFREE])
+                    assert as_map == want
+                nonzero += bool(want)
         assert nonzero > 50
 
     def test_kernel_matches_closed_form_2d(self):
         # the 2D kernel is the closed form f(r, j, s, k, t) of
-        # (X1^r X2^j) o (X1^s X2^k) at fiber (r+s-t, j+k-t), nothing missing
-        # and nothing extra: all fiber pairs through length 6
+        # (X1^r X2^j) o (X1^s X2^k) at fiber (r+s-t, j+k-t), as a nonzero
+        # int numerator over 2^t, nothing missing and nothing extra: all
+        # fiber pairs through length 6
         fibers = [f for f in itertools.product(range(7), repeat=2) if sum(f) <= 6]
         for (r, j), (s, k) in itertools.product(fibers, repeat=2):
             want = {(t, (r + s - t, j + k - t)): _f_raw(r, j, s, k, t)
                     for t in range(min(r, k) + min(j, s) + 1)}
             got = weyl._kernel(ALG2._pairs, (r, j), (s, k), weyl._CIRC)
+            assert all(type(n) is int and n for _, _, n in got)
             assert len(got) == len({(t, f) for t, f, _ in got})
-            assert {(t, f): c for t, f, c in got} == {key: c for key, c in want.items() if c}
+            assert {(t, f): Fraction(n, 2**t) for t, f, n in got} == {key: c for key, c in want.items() if c}
 
     def test_kernel_built_once_per_key(self, monkeypatch):
         # a fresh table, shared across algebras of equal omega: every key
@@ -253,6 +256,55 @@ class TestCirc:
                       [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 2], [0, 0, -1, 0]]):
             with pytest.raises(ValueError, match="antisymmetric"):
                 WeylAlgebra(len(omega), omega)
+
+
+@st.composite
+def flat_series(draw, dim, complex_values):
+    """A series drawn as its flat map: nu power, fiber, word and q-exponents
+    with rational real parts over mixed denominators and, when asked,
+    imaginary parts; possibly truncated."""
+    fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    out = WeylSeries(dim)
+    for _ in range(draw(st.integers(0, 4))):
+        key = (draw(st.integers(0, 1)),
+               draw(st.tuples(*[st.integers(0, 2)] * dim)),
+               tuple(sorted(draw(st.sets(st.integers(1, dim), max_size=2)))),
+               draw(st.tuples(*[st.integers(0, 1)] * dim)))
+        im = draw(fraction) if complex_values else 0
+        _accumulate(out._terms, key, GaussianRational(draw(fraction), im))
+    cut = draw(st.none() | st.integers(0, 6))
+    return out if cut is None else out.truncate(cut)
+
+
+def typed(s: WeylSeries):
+    """Terms with the type of each scalar, so that a real value stored as a
+    GaussianRational does not compare equal to its Fraction."""
+    return s.known_through, {key: (type(c), c) for key, c in s._terms.items()}
+
+
+class TestIntegerPaths:
+    @settings(derandomize=True, max_examples=80)
+    @given(st.data())
+    def test_matches_scalar_references(self, data):
+        # the integer product and operators against the term-by-term scalar
+        # loops, on real, complex and mixed operands, with and without cap
+        alg = data.draw(st.sampled_from((ALG2, ALG4, CUSTOM4)))
+        a = data.draw(flat_series(alg.dim, data.draw(st.booleans())))
+        b = data.draw(flat_series(alg.dim, data.draw(st.booleans())))
+        cap = data.draw(st.none() | st.integers(0, 7))
+        for op, mode, fiber_only in ((alg.circ, weyl._CIRC, False),
+                                     (alg.commutator, weyl._COMMUTATOR, True),
+                                     (alg._xfree, weyl._XFREE, False)):
+            try:
+                eff = alg._effective_cap(a, b, cap, fiber_only)
+            except TruncationError:
+                with pytest.raises(TruncationError):
+                    op(a, b, cap)
+                continue
+            assert typed(op(a, b, cap)) == typed(product_reference(alg, a, b, eff, mode))
+        for op, reference in ((delta, delta_reference), (delta_inv, delta_inv_reference),
+                              (ext_d, ext_d_reference)):
+            assert typed(op(a)) == typed(reference(a))
 
 
 class TestGradingHelpers:
