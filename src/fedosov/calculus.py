@@ -62,6 +62,9 @@ def delta_inv(a: WeylSeries) -> WeylSeries:
 
 
 def ext_d(a: WeylSeries) -> WeylSeries:
+    if not any(any(e) for _, _, _, e in a._terms):  # constant in q, as for constant Gamma
+        return WeylSeries(a.dim, known_through=a.known_through)
+
     def each(k, f, w, e):
         for i, ei in enumerate(e):
             word, sign = _merge((i + 1,), w) if ei else ((), 0)

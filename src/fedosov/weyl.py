@@ -28,9 +28,8 @@ Every product reads one contraction kernel per omega: for a pair of fiber
 exponents, the Moyal exponential exp((nu/2) P) of X^alpha o X^beta as one
 (nu shift t, output fiber, int numerator over (2 D)^t, D the lcm of omega's
 denominators) entry per nonzero output term, built once per process and
-shared by all algebras with the same omega.  A product sums int numerators
-over one denominator, the real and imaginary parts of complex operands
-apart, and forms one Fraction per output term.
+shared by all algebras with the same omega.  Products sum int numerators over
+one denominator per call, complex operands as real and imaginary parts.
 """
 
 from __future__ import annotations
@@ -79,8 +78,9 @@ def _merge(w1, w2):
 def _numerators(terms: dict):
     """(D, real, imaginary): a flat map's scalars as int numerators over D,
     the lcm of their denominators; imaginary is empty for a real map."""
-    parts = ({key: c.re if type(c) is GaussianRational else c for key, c in terms.items()},
-             {key: c.im for key, c in terms.items() if type(c) is GaussianRational})
+    im = {key: c.im for key, c in terms.items() if type(c) is GaussianRational}
+    parts = ({key: c.re if type(c) is GaussianRational else c for key, c in terms.items()}
+             if im else terms, im)
     den = lcm(*{c.denominator for part in parts for c in part.values()})
     return den, *({key: c.numerator * (den // c.denominator) for key, c in part.items()}
                   for part in parts)
@@ -432,8 +432,7 @@ class WeylAlgebra:
                             for i, row in enumerate(self.omega_upper)
                             for j, w in enumerate(row) if w)
         self._kernels = _KERNELS.setdefault(self._pairs, {})
-        # a kernel entry (t, fiber, n) has scalar n / _scale^t
-        self._scale = 2 * lcm(*{w.denominator for _, _, w in self._pairs})
+        self._scale = 2 * lcm(*{w.denominator for _, _, w in self._pairs})  # scalar n / _scale^t
 
     # -- product --------------------------------------------------------
 
