@@ -5,7 +5,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from fedosov.abelian import abelian_r, commuting_case_degree, finiteness_test, star
+from fedosov.abelian import abelian_r, finiteness_test, star
 from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form
 from fedosov.poly import BasePolynomial, format_poly
 from fedosov.weyl import format_series
@@ -28,9 +28,6 @@ def main():
     higher = [z for z in range(4, args.top + 1) if not r.part(z).is_zero()]
     print(f"nonzero grades above 3: {higher or 'none'}")
     print(f"closure system at m=4 consistent: {finiteness_test(r, 4).consistent}")
-
-    res = commuting_case_degree(m, c, args.top)
-    print(f"commuting shortcut: kind={res.kind}, deg(r)={res.r_degree}")
 
     # a sample product on the quantized algebra
     a0 = BasePolynomial.variable(4, 1) * BasePolynomial.variable(4, 3)

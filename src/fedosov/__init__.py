@@ -10,13 +10,10 @@ hbar, and Gaussian rationals where a value carries i); nothing here floats.
 from .abelian import (
     AbelianCorrection,
     CheckReport,
-    CommutingCaseResult,
-    CommutingHypothesisError,
     FinitenessResult,
     FlatSection,
     abelian_r,
     check_abelian,
-    commuting_case_degree,
     finiteness_test,
     flat_section,
     flatness_residual,
@@ -69,7 +66,6 @@ from .weyl import (
     WeylTerm,
     div_ihbar,
     format_series,
-    grade_part,
     sigma,
     wedge_normalize,
 )

@@ -15,11 +15,11 @@ with source(3) = R and, for z >= 4,
 is the graded commutator [r[j], r[k]], so the sum pairs into one bracket
 per unordered pair j <= k, halved when j = k.  Each correction keeps a
 table of these brackets and of the sources, each formed at most once: the
-solver, check_abelian, the commuting-case shortcut and the closure system
-of finiteness_test all read it.  Flat sections are lifted from their X-free
-parts by the same graded step, with commutators [r[j], a[w]] in place of
-the products, and the star product of two observables is the projection of
-the circle product of their lifts.
+solver, check_abelian and the closure system of finiteness_test all read
+it.  Flat sections are lifted from their X-free parts by the same graded
+step, with commutators [r[j], a[w]] in place of the products, and the star
+product of two observables is the projection of the circle product of
+their lifts.
 """
 
 from __future__ import annotations
@@ -33,10 +33,6 @@ from .geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
 from .poly import BasePolynomial
 from .scalars import _accumulate
 from .weyl import TruncationError, WeylSeries, div_ihbar
-
-
-class CommutingHypothesisError(ValueError):
-    """A product r[j] o r[k] failed to vanish where the shortcut needs it."""
 
 
 @dataclass
@@ -221,42 +217,6 @@ def finiteness_test(r: AbelianCorrection, m_param: int) -> FinitenessResult:
                                  WeylSeries.zero(r.manifold.dim))))
     bad = [(z, eq) for z, eq in equations if not eq.is_zero()]
     return FinitenessResult(mm, tuple(z for z, _ in bad), bad[0][1] if bad else None)
-
-
-@dataclass
-class CommutingCaseResult:
-    kind: str  # "zero-curvature" | "finite" | "not-finite-within"
-    z: int | None = None
-    r_degree: int | None = None
-
-
-def commuting_case_degree(m: ManifoldSpec, c: ConnectionSpec, z_max: int) -> CommutingCaseResult:
-    """Degree detection when all r[j] o r[k] vanish.
-
-    Under that hypothesis every bracket in the correction's table vanishes,
-    so source(z) = covariant_d r[z-1] for z >= 4 and r is finite iff some
-    such source vanishes; the smallest such z is returned (the degree of r
-    is then z - 1).  The shortcut walks the solver's own grades and checks
-    the hypothesis as each grade is added, raising at the first nonzero
-    r[j] o r[k] with j <= k, smallest k first.
-    """
-    if z_max < 4:
-        raise ValueError("need z_max >= 4")
-    r = AbelianCorrection(m, c, {}, known_through=2)
-    for z in range(3, z_max + 1):
-        source = r._source(z)
-        if source.is_zero():
-            if z == 3:
-                return CommutingCaseResult(kind="zero-curvature")
-            return CommutingCaseResult(kind="finite", z=z, r_degree=z - 1)
-        r.parts[z] = delta_inv(source)
-        r.known_through = z
-        for j in range(3, z + 1):
-            if not m.algebra.circ(r.part(j), r.part(z)).is_zero():
-                raise CommutingHypothesisError(
-                    f"r[{j}] o r[{z}] != 0: commuting shortcut does not apply"
-                )
-    return CommutingCaseResult(kind="not-finite-within")
 
 
 @dataclass

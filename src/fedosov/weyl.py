@@ -106,10 +106,6 @@ class WeylTerm:
     def degree(self) -> int:
         return 2 * self.hbar + sum(self.fiber)
 
-    @property
-    def form_degree(self) -> int:
-        return len(self.word)
-
 
 def _min_known(a, b):
     if a is None:
@@ -213,11 +209,6 @@ class WeylSeries:
         if not self._terms:
             return None
         return max(2 * k + sum(f) for k, f, _, _ in self._terms)
-
-    def min_degree(self):
-        if not self._terms:
-            return None
-        return min(2 * k + sum(f) for k, f, _, _ in self._terms)
 
     def _check(self, other):
         if self.dim != other.dim:
@@ -535,14 +526,7 @@ class WeylAlgebra:
         return self._product(a, b, eff, _COMMUTATOR)
 
 
-# --- grading helpers ----------------------------------------------------
-
-def grade_part(a: WeylSeries, k: int, l: int) -> WeylSeries:
-    """Terms with hbar power k and fiber length l (degree 2k + l)."""
-    if a.known_through is not None and 2 * k + l > a.known_through:
-        raise TruncationError(f"grade (k={k}, l={l}) beyond known_through={a.known_through}")
-    return a._filtered(lambda kk, f, w, e: kk == k and sum(f) == l, None)
-
+# --- projection and division by i*hbar ----------------------------------
 
 def sigma(a: WeylSeries) -> dict[int, BasePolynomial]:
     """Projection X -> 0 of a form-degree-0 series, keyed by hbar power."""

@@ -2,18 +2,19 @@
 
 Each computes a result the library also computes, by a slower and more
 direct route: the whole-series fixed point for the graded solver, a
-bracket-free recursion checked pair by pair afterwards for the
-commuting-case shortcut, two full products per pair of form degrees for
-the one-pass commutator, the per-call contraction recursion for the
-memoized product kernel, and term-by-term scalar loops for the integer
-product and graded operators.
+bracket-free recursion checked pair by pair afterwards for the verdict of
+`fedosov finite` on connections whose components all commute, two full
+products per pair of form degrees for the one-pass commutator, the
+per-call contraction recursion for the memoized product kernel, and
+term-by-term scalar loops for the integer product and graded operators.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
 from fedosov import weyl
-from fedosov.abelian import AbelianCorrection, CommutingCaseResult, CommutingHypothesisError
+from fedosov.abelian import AbelianCorrection
 from fedosov.calculus import covariant_d, delta_inv
 from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
 from fedosov.scalars import _accumulate, _coeff, i_power
@@ -44,11 +45,25 @@ def abelian_r_iterative(m: ManifoldSpec, c: ConnectionSpec, steps: int, N: int) 
     return AbelianCorrection(m, c, parts, known_through=N)
 
 
+class CommutingHypothesisError(ValueError):
+    """A product r[j] o r[k] failed to vanish where the shortcut needs it."""
+
+
+@dataclass
+class CommutingCaseResult:
+    kind: str  # "zero-curvature" | "finite" | "not-finite-within"
+    z: int | None = None
+    r_degree: int | None = None
+
+
 def commuting_case_shortcut(m: ManifoldSpec, c: ConnectionSpec, z_max: int) -> CommutingCaseResult:
-    """commuting_case_degree by its own recursion: r[3] = delta_inv R and
-    r[z] = delta_inv covariant_d r[z-1] until the source vanishes or z_max,
-    then r[j] o r[k] = 0 checked on every pair j <= k of the components
-    formed, smallest j first."""
+    """Degree of r under the hypothesis that every r[j] o r[k] vanishes.
+
+    Then source(z) = covariant_d r[z-1] for z >= 4, so r[3] = delta_inv R
+    and r[z] = delta_inv covariant_d r[z-1] until the source vanishes at
+    some z (deg r = z - 1) or z_max is passed; afterwards r[j] o r[k] = 0
+    is checked on every pair j <= k of the components formed, smallest j
+    first.  A reference for `fedosov finite` wherever it does not raise."""
     if z_max < 4:
         raise ValueError("need z_max >= 4")
     R = curvature_form(m, c)

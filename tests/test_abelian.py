@@ -1,16 +1,15 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from fedosov import abelian
+from fedosov import abelian, cli
 from fedosov.abelian import (
     AbelianCorrection,
-    CommutingHypothesisError,
     abelian_r,
     check_abelian,
-    commuting_case_degree,
     finiteness_test,
     flat_section,
     flatness_residual,
@@ -20,12 +19,12 @@ from fedosov.abelian import (
 from fedosov.calculus import covariant_d, delta_inv
 from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
 from fedosov.manifest import parse_poly
-from fedosov.poly import BasePolynomial
+from fedosov.poly import BasePolynomial, format_poly
 from fedosov.scalars import GaussianRational, I, ONE
 from fedosov.weyl import TruncationError, WeylAlgebra, WeylSeries, div_ihbar, sigma
 
 from conftest import rand_poly
-from oracles import abelian_r_iterative, commuting_case_shortcut
+from oracles import CommutingHypothesisError, abelian_r_iterative, commuting_case_shortcut
 from test_golden import COMMUTING_ZMAX, commuting_connections
 
 HALF_I = GaussianRational(0, Fraction(1, 2))
@@ -347,56 +346,61 @@ class TestRationalEngine:
 
 
 class TestCommutingShortcut:
-    def test_flat_is_zero_curvature(self, flat2):
-        m, c = flat2
-        res = commuting_case_degree(m, c, 6)
-        assert res.kind == "zero-curvature"
-
-    def test_comm_detects_degree(self, comm4):
-        m, c = comm4
-        res = commuting_case_degree(m, c, 8)
-        assert res.kind == "finite"
-        assert res.z == 4
-        assert res.r_degree == 3
-
-    def test_curved_hypothesis_fails(self, curved2):
-        m, c = curved2
-        with pytest.raises(CommutingHypothesisError):
-            commuting_case_degree(m, c, 6)
-
-    def test_curved_raises_before_any_derivative(self, curved2, monkeypatch):
-        # r[3] o r[3] != 0 stops the walk at its first grade
-        calls = []
-        cov_d = abelian.covariant_d
-
-        def counting_cov_d(*args):
-            calls.append(args)
-            return cov_d(*args)
-
-        monkeypatch.setattr(abelian, "covariant_d", counting_cov_d)
-        with pytest.raises(CommutingHypothesisError, match=r"r\[3\] o r\[3\]"):
-            commuting_case_degree(*curved2, 24)
-        assert calls == []
+    """`fedosov finite`'s verdict, its first line of output, against the
+    commuting-case reference route wherever that route applies, and against
+    the first m of a full closure sweep m = 4..Z on every connection."""
 
     @staticmethod
-    def outcome(route, m, c):
+    def verdict(tmp_path, capsys, m, c):
+        path = tmp_path / "connection.json"
+        path.write_text(json.dumps({
+            "dim": m.dim,
+            "omega": [[str(v) for v in row] for row in m.omega_lower],
+            "gamma": [{"indices": list(t), "poly": format_poly(p)}
+                      for t, p in sorted(c._entries.items())],
+        }))
+        assert cli.main(["finite", str(path), "--zmax", str(COMMUTING_ZMAX)]) == 0
+        return capsys.readouterr().out.splitlines()[0]
+
+    @staticmethod
+    def shortcut_verdict(m, c):
         try:
-            res = route(m, c, COMMUTING_ZMAX)
-        except CommutingHypothesisError as exc:
-            return str(exc)
-        return res.kind, res.z, res.r_degree
+            res = commuting_case_shortcut(m, c, COMMUTING_ZMAX)
+        except CommutingHypothesisError:
+            return None
+        return {
+            "zero-curvature": "curvature is zero: r = 0, trivially finite",
+            "finite": f"finite, deg(r)={res.r_degree}",
+            "not-finite-within": f"not finite within z <= {COMMUTING_ZMAX}",
+        }[res.kind]
 
-    def test_reference_route_agrees(self):
-        # one connection per outcome: zero curvature, finite at z = 4..9,
-        # not finite within z_max, and raises at r[3] o r[3] and r[3] o r[4]
-        outcomes = set()
-        for name, (m, c) in commuting_connections().items():
-            got = self.outcome(commuting_case_degree, m, c)
-            assert got == self.outcome(commuting_case_shortcut, m, c), name
-            outcomes.add(got)
-        assert len(outcomes) == 10
+    @staticmethod
+    def sweep_verdict(m, c):
+        r = abelian_r(m, c, COMMUTING_ZMAX - 1)
+        for mm in range(4, COMMUTING_ZMAX + 1):
+            if finiteness_test(r, mm).consistent:
+                if mm == 4 and curvature_form(m, c).is_zero():
+                    return "curvature is zero: r = 0, trivially finite"
+                return f"finite, deg(r)={mm - 1}"
+        return f"not finite within z <= {COMMUTING_ZMAX}"
 
-    def test_reference_route_agrees_on_sample(self):
+    def agree(self, tmp_path, capsys, m, c, where):
+        got = self.verdict(tmp_path, capsys, m, c)
+        assert got == self.sweep_verdict(m, c), where
+        shortcut = self.shortcut_verdict(m, c)
+        assert shortcut in (None, got), where
+        return got, shortcut is not None
+
+    def test_reference_route_agrees(self, tmp_path, capsys):
+        # zero curvature, finite at deg 3..8, and not finite within z_max;
+        # the shortcut does not apply to curved2d or G111=q4,G133=1
+        outcomes = {name: self.agree(tmp_path, capsys, m, c, name)
+                    for name, (m, c) in commuting_connections().items()}
+        assert len({got for got, _ in outcomes.values()}) == 8
+        assert sorted(name for name, (_, applies) in outcomes.items()
+                      if not applies) == ["G111=q4,G133=1", "curved2d"]
+
+    def test_reference_route_agrees_on_sample(self, tmp_path, capsys):
         triples = list(combinations_with_replacement((1, 3, 4), 3))
         coeffs = ["1", "q3", "q4", "q3^2", "q3^3"]
         rng = random.Random(8)
@@ -405,11 +409,9 @@ class TestCommutingShortcut:
         for _ in range(100):
             entries = [(t, parse_poly(rng.choice(coeffs), 4))
                        for t in rng.sample(triples, rng.randint(1, 2))]
-            c = ConnectionSpec(4, entries)
-            got = self.outcome(commuting_case_degree, m, c)
-            assert got == self.outcome(commuting_case_shortcut, m, c), entries
-            outcomes.add(got)
-        assert len(outcomes) > 2
+            outcomes.add(self.agree(tmp_path, capsys, m, ConnectionSpec(4, entries), entries))
+        assert len({got for got, _ in outcomes}) > 2
+        assert {applies for _, applies in outcomes} == {True, False}
 
 
 class TestFlatSections:

@@ -15,7 +15,6 @@ import pytest
 from fedosov.abelian import (
     abelian_r,
     check_abelian,
-    commuting_case_degree,
     finiteness_test,
     star,
     star_hbar,
@@ -213,10 +212,6 @@ def test_four_dim_terminating_case(capsys, comm4):
         assert all(r.part(z).is_zero() for z in range(4, 9))
         assert r.degree() == 3
         assert finiteness_test(r, 4).consistent
-        res = commuting_case_degree(m, c, 8)
-        assert res.kind == "finite"
-        assert res.z == 4
-        assert res.r_degree == 3
 
 
 def test_square_nonvanishing_and_cascades(capsys):

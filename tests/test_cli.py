@@ -175,15 +175,21 @@ class TestFinite:
         code, out, _ = run(capsys, "finite", CURVED, "--zmax", "6")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == (
-            "components r[j] o r[k] do not all commute; "
-            "checking the closure system for m = 4..6"
-        )
+        assert lines[0] == "not finite within z <= 6"
+        assert len(lines) == 4
         for n, mp in enumerate(range(4, 7), start=1):
             assert lines[n] == (
                 f"m={mp}: violated at z={mp}; "
                 f"square equation r[{mp - 1}] o r[{mp - 1}] violated: yes"
             )
+
+    def test_finite_where_components_do_not_commute(self, capsys, tmp_path):
+        # r[3] o r[4] != 0 although [r[3], r[4]] = 0: r stops at degree 4
+        path = tmp_path / "g111_q4_g133_1.json"
+        path.write_text(json.dumps({"dim": 4, "gamma": [
+            {"indices": [1, 1, 1], "poly": "q4"}, {"indices": [1, 3, 3], "poly": "1"}]}))
+        code, out, _ = run(capsys, "finite", str(path))
+        assert code == 0 and out == "finite, deg(r)=4\n"
 
     def test_zmax_floor(self, capsys):
         code, _, err = run(capsys, "finite", CURVED, "--zmax", "3")

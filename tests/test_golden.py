@@ -1,5 +1,5 @@
 """Frozen golden corpus: solver, checks, closure verdicts, flat sections,
-star products, the commuting-case shortcut, the prop41 and finite
+star products, the commuting-case reference route, the prop41 and finite
 transcripts and the demo scripts' output on fixed inputs, compared byte
 for byte with tests/golden/corpus.json.
 
@@ -19,10 +19,8 @@ import sys
 from fedosov import cli, weyl
 from fedosov.abelian import (
     AbelianCorrection,
-    CommutingHypothesisError,
     abelian_r,
     check_abelian,
-    commuting_case_degree,
     finiteness_test,
     flat_section,
     star,
@@ -32,6 +30,8 @@ from fedosov.manifest import load_manifest, parse_poly, series_to_records
 from fedosov.poly import BasePolynomial, format_poly
 from fedosov.twodim import random_table, square_check
 from fedosov.weyl import WeylSeries
+
+from oracles import CommutingHypothesisError, commuting_case_shortcut
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "tests" / "golden" / "corpus.json"
@@ -60,9 +60,10 @@ COMPLEX_STAR_PAIRS = {
     2: [("q1", "i*q2^2"), ("q1 + i*q2", "q1*q2")],
     4: [("q1", "i*q2^2"), ("q1 + i*q3", "q2 + q4")],
 }
-# commuting_case_degree at COMMUTING_ZMAX, one connection per outcome:
-# zero curvature, finite at z = 4..9, not finite within z_max, and the
-# hypothesis failing at r[3] o r[3] and at r[3] o r[4]
+# the commuting-case reference route at COMMUTING_ZMAX, one connection per
+# outcome: zero curvature, finite at z = 4..9, not finite within z_max, and
+# the hypothesis failing at r[3] o r[3] and at r[3] o r[4]; `fedosov finite`
+# is compared with it, and with the closure sweep, on these connections
 COMMUTING_ZMAX = 9
 COMMUTING_4D = {
     "G111=q3^2": [((1, 1, 1), "q3^2")],
@@ -179,11 +180,11 @@ def prop41_entry():
 
 
 def commuting_entry():
-    """commuting_case_degree's result or error on each commuting connection."""
+    """commuting_case_shortcut's result or error on each commuting connection."""
     entry = {}
     for name, (m, c) in commuting_connections().items():
         try:
-            res = commuting_case_degree(m, c, COMMUTING_ZMAX)
+            res = commuting_case_shortcut(m, c, COMMUTING_ZMAX)
         except CommutingHypothesisError as exc:
             entry[name] = {"error": type(exc).__name__, "message": str(exc)}
         else:

@@ -17,7 +17,6 @@ from fedosov.weyl import (
     WeylSeries,
     div_ihbar,
     format_series,
-    grade_part,
     sigma,
 )
 
@@ -64,7 +63,6 @@ class TestSeriesBasics:
     def test_degree_accounting(self):
         s = WeylSeries.build(2, [(1, 2, (1, 0), ()), (1, 0, (0, 1), ())])
         assert s.degree() == 5
-        assert s.min_degree() == 1
         assert s.homogeneous_part(5).terms()[0].hbar == 2
 
     def test_invalid_terms_rejected(self):
@@ -308,15 +306,6 @@ class TestIntegerPaths:
 
 
 class TestGradingHelpers:
-    def test_grade_part_partitions(self):
-        rng = random.Random(6)
-        s = rand_series(rng, 2, terms=4, max_hbar=2)
-        total = WeylSeries.zero(2)
-        for k in range(0, 3):
-            for l in range(0, 5):
-                total = total + grade_part(s, k, l)
-        assert total == s
-
     def test_sigma_projects_x_free(self):
         s = WeylSeries.build(2, [(5, 1, (0, 0), ()), (7, 0, (1, 0), ())])
         assert sigma(s) == {1: BasePolynomial.constant(2, 5)}
