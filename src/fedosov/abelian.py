@@ -31,8 +31,9 @@ from functools import cached_property
 from .calculus import covariant_d, delta, delta_inv
 from .geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
 from .poly import BasePolynomial
-from .scalars import _accumulate
 from .weyl import TruncationError, WeylSeries, div_ihbar
+
+_HALF = Fraction(1, 2)
 
 
 @dataclass
@@ -77,7 +78,7 @@ class AbelianCorrection:
         if p is None:
             p = self.manifold.algebra.commutator(self.part(j), self.part(k))
             if j == k:
-                p = p.scale(Fraction(1, 2))
+                p = p.scale(_HALF)
             self._table[(j, k)] = p
         return p
 
@@ -155,7 +156,7 @@ def check_abelian(r: AbelianCorrection, N: int | None = None) -> CheckReport:
         if not delta_inv(pz).is_zero():
             report.normalization_ok = False
             report.messages.append(f"delta_inv r[{z}] != 0")
-        for k, fiber, _ in sorted({key[:3] for key in pz._terms}):
+        for k, fiber, _ in sorted({key[1:4] for key in pz._terms}):
             degree = 2 * k + sum(fiber)
             if k % 2:
                 report.even_hbar_ok = False
@@ -296,5 +297,6 @@ def star_hbar(m: ManifoldSpec, c: ConnectionSpec, a: dict[int, BasePolynomial],
                 continue
             piece = star(m, c, pa, pb, K - ja - jb, r=r)
             for k, p in piece.items():
-                _accumulate(out, ja + jb + k, p)
-    return out
+                j = ja + jb + k
+                out[j] = out[j] + p if j in out else p
+    return {k: p for k, p in out.items() if p}

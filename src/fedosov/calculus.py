@@ -11,65 +11,59 @@ l + m > 0 the two compose to the identity:
 
     a = delta delta_inv a + delta_inv delta a + a_00.
 
-The three operators accumulate integers over one denominator per call,
-delta_inv's weights 1/(l+m) over their lcm, and form one Fraction per term.
+The three operators map int numerators to int numerators over the
+operand's denominator, times the lcm of delta_inv's weights 1/(l+m).
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .weyl import WeylAlgebra, WeylSeries, _merge, _numerators, _rationals, div_ihbar
+from .weyl import WeylAlgebra, WeylSeries, _merge, div_ihbar
 
 
 def _linear(a: WeylSeries, shift: int, each, scale: int = 1) -> WeylSeries:
-    """Sum over a's terms c * key of m * c at every (image, m) of each(*key),
-    in ints over a's denominator * scale, known through a's bound + shift."""
-    den, *parts = _numerators(a._terms)
-    sums = []
-    for part in parts:
-        out: dict = {}
-        for key, n in part.items():
-            for image, m in each(*key):
-                out[image] = out.get(image, 0) + m * n
-        sums.append(out)
+    """Sum over a's terms n * key of m * n at every (image, m) of each(*key),
+    over a's denominator * scale, known through a's bound + shift."""
+    out: dict = {}
+    for key, n in a._terms.items():
+        for image, m in each(*key):
+            out[image] = out.get(image, 0) + m * n
     known = a.known_through if a.known_through is None else a.known_through + shift
-    result = WeylSeries(a.dim, known_through=known)
-    result._terms = _rationals(*sums, den * scale)
-    return result
+    return WeylSeries(a.dim, known_through=known)._set(a._den * scale, out)
 
 
 def delta(a: WeylSeries) -> WeylSeries:
-    def each(k, f, w, e):
+    def each(u, k, f, w, e):
         for i, fi in enumerate(f):
             word, sign = _merge((i + 1,), w) if fi else ((), 0)
             if sign:
-                yield (k, f[:i] + (fi - 1,) + f[i + 1 :], word, e), sign * fi
+                yield (u, k, f[:i] + (fi - 1,) + f[i + 1 :], word, e), sign * fi
 
     return _linear(a, -1, each)
 
 
 def delta_inv(a: WeylSeries) -> WeylSeries:
-    weight = lcm(*{sum(f) + len(w) for _, f, w, _ in a._terms if w})
+    weight = lcm(*{sum(f) + len(w) for _, _, f, w, _ in a._terms if w})
 
-    def each(k, f, w, e):
+    def each(u, k, f, w, e):
         m = weight // (sum(f) + len(w)) if w else 0
         for pos, j in enumerate(w):
             fiber = f[: j - 1] + (f[j - 1] + 1,) + f[j:]
-            yield (k, fiber, w[:pos] + w[pos + 1 :], e), -m if pos % 2 else m
+            yield (u, k, fiber, w[:pos] + w[pos + 1 :], e), -m if pos % 2 else m
 
     return _linear(a, 1, each, weight)
 
 
 def ext_d(a: WeylSeries) -> WeylSeries:
-    if not any(any(e) for _, _, _, e in a._terms):  # constant in q, as for constant Gamma
+    if not any(any(key[4]) for key in a._terms):  # constant in q, as for constant Gamma
         return WeylSeries(a.dim, known_through=a.known_through)
 
-    def each(k, f, w, e):
+    def each(u, k, f, w, e):
         for i, ei in enumerate(e):
             word, sign = _merge((i + 1,), w) if ei else ((), 0)
             if sign:
-                yield (k, f, word, e[:i] + (ei - 1,) + e[i + 1 :]), sign * ei
+                yield (u, k, f, word, e[:i] + (ei - 1,) + e[i + 1 :]), sign * ei
 
     return _linear(a, 0, each)
 
@@ -78,7 +72,7 @@ def hodge_split(a: WeylSeries):
     """(delta delta_inv a, delta_inv delta a, X-free form-free part)."""
     dd = delta(delta_inv(a))
     di = delta_inv(delta(a))
-    rest = a._filtered(lambda k, f, w, e: not any(f) and not w, a.known_through)
+    rest = a._filtered(lambda u, k, f, w, e: not any(f) and not w, a.known_through)
     return dd, di, rest
 
 

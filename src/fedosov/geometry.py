@@ -184,7 +184,7 @@ def validate(m: ManifoldSpec, c: ConnectionSpec) -> ValidationReport:
 def gamma_form(m: ManifoldSpec, c: ConnectionSpec) -> WeylSeries:
     """gamma = 1/2 Gamma_{ijk} X^i X^j dq^k, a degree-2 one-form."""
     n = m.dim
-    out = WeylSeries(n)
+    entries = []
     half = Fraction(1, 2)
     for i in range(1, n + 1):
         for j in range(i, n + 1):
@@ -195,9 +195,8 @@ def gamma_form(m: ManifoldSpec, c: ConnectionSpec) -> WeylSeries:
                 fiber = [0] * n
                 fiber[i - 1] += 1
                 fiber[j - 1] += 1
-                weight = g if i != j else g.scale(half)
-                out._insert(0, tuple(fiber), (k,), weight)
-    return out
+                entries.append((g if i != j else g.scale(half), 0, fiber, (k,)))
+    return WeylSeries.build(n, entries)
 
 
 class CurvatureTensor:
@@ -265,7 +264,7 @@ def curvature_form(m: ManifoldSpec, c: ConnectionSpec, via: str = "form-equation
 
         n = m.dim
         quarter = Fraction(1, 4)
-        out = WeylSeries(n)
+        entries = []
         for (i, j, k, l), poly in curvature_tensor(m, c).entries():
             word, sign = wedge_normalize((k, l), n)
             if sign == 0:
@@ -273,6 +272,6 @@ def curvature_form(m: ManifoldSpec, c: ConnectionSpec, via: str = "form-equation
             fiber = [0] * n
             fiber[i - 1] += 1
             fiber[j - 1] += 1
-            out._insert(0, tuple(fiber), word, poly.scale(sign * quarter))
-        return out
+            entries.append((poly.scale(sign * quarter), 0, fiber, word))
+        return WeylSeries.build(n, entries)
     raise ValueError(f"unknown curvature route {via!r}")

@@ -10,12 +10,13 @@ strictly increasing 1-based indices.  The grading degree of a term is
 2k + l (twice the hbar power plus the fiber length); it is additive under
 the circle product.
 
-A series is one flat map (nu power, fiber, word, q-exponents) -> scalar,
-with nu = i*hbar, so contraction scalars are rational and 1/(i hbar) is a
-shift; a scalar is a Fraction, or a GaussianRational only when its
-imaginary part is nonzero.  BasePolynomial is the boundary type: _insert
-splits one into flat terms, and terms() and sigma group them back, with
-hbar^k c = nu^k (i^-k c).
+A series is one positive int denominator and one flat map (u, nu power,
+fiber, word, q-exponents) -> int numerator, where u = 1 marks an imaginary
+part and nu = i*hbar, so contraction scalars are rational and 1/(i hbar) is
+a shift.  _set keeps the map in lowest terms, so equal series store equal
+maps.  Fraction, GaussianRational and BasePolynomial appear only at the
+boundary: _load validates input and splits each polynomial into flat terms,
+and terms() and sigma group them back, with hbar^k c = nu^k (i^-k c).
 
 A series carries ``known_through``: the degree bound through which its
 graded components are asserted exact.  ``None`` means the stored terms are
@@ -29,18 +30,18 @@ exponents, the Moyal exponential exp((nu/2) P) of X^alpha o X^beta as one
 (nu shift t, output fiber, int numerator over (2 D)^t, D the lcm of omega's
 denominators) entry per nonzero output term, built once per process and
 shared by all algebras with the same omega.  Products sum int numerators over
-one denominator per call, complex operands as real and imaginary parts.
+one denominator per call; two imaginary parts make a real term, negated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add
 
 from .poly import BasePolynomial
-from .scalars import GaussianRational, _accumulate, _coeff, i_power
+from .scalars import GaussianRational, i_power
 
 
 class TruncationError(ValueError):
@@ -75,23 +76,25 @@ def _merge(w1, w2):
     return tuple(sorted(w1 + w2)), -1 if sum(x > y for x in w1 for y in w2) % 2 else 1
 
 
-def _numerators(terms: dict):
-    """(D, real, imaginary): a flat map's scalars as int numerators over D,
-    the lcm of their denominators; imaginary is empty for a real map."""
-    im = {key: c.im for key, c in terms.items() if type(c) is GaussianRational}
-    parts = ({key: c.re if type(c) is GaussianRational else c for key, c in terms.items()}
-             if im else terms, im)
-    den = lcm(*{c.denominator for part in parts for c in part.values()})
-    return den, *({key: c.numerator * (den // c.denominator) for key, c in part.items()}
-                  for part in parts)
+def _numerators(scalars: dict):
+    """(D, terms): a flat map of scalars as int numerators over D, the lcm of
+    their denominators, each key prefixed by u = 0 (real) or 1 (imaginary)."""
+    parts = {}
+    for key, c in scalars.items():
+        if type(c) is GaussianRational:
+            parts[(1, *key)] = c.im
+            c = c.re
+        parts[(0, *key)] = c
+    den = lcm(*{c.denominator for c in parts.values()})
+    return den, {key: c.numerator * (den // c.denominator) for key, c in parts.items()}
 
 
-def _rationals(re: dict, im: dict, den: int) -> dict:
-    """The flat map of int numerators over den, one Fraction per nonzero
-    part, stored as _coeff stores it."""
-    out = {key: Fraction(n, den) for key, n in re.items() if n}
-    out.update((key, GaussianRational(out.get(key, 0), Fraction(n, den)))
-               for key, n in im.items() if n)
+def _rationals(den: int, terms: dict) -> dict:
+    """The flat map of scalars of terms over den: a Fraction per key, or a
+    GaussianRational where the imaginary part is nonzero."""
+    out = {key[1:]: Fraction(n, den) for key, n in terms.items() if not key[0]}
+    out.update((key[1:], GaussianRational(out.get(key[1:], 0), Fraction(n, den)))
+               for key, n in terms.items() if key[0])
     return out
 
 
@@ -116,51 +119,60 @@ def _min_known(a, b):
 
 
 def _groups(terms: dict) -> dict:
-    """Flat terms grouped as (nu power, fiber, word) -> {q-exponents: scalar}."""
+    """Flat terms grouped by all but their q-exponents: key[:-1] -> {q-exponents: value}."""
     out: dict = {}
-    for (k, f, w, e), c in terms.items():
-        group = out.get((k, f, w))
-        if group is None:
-            out[(k, f, w)] = {e: c}
-        else:
-            group[e] = c
+    for key, c in terms.items():
+        out.setdefault(key[:-1], {})[key[-1]] = c
     return out
 
 
 class WeylSeries:
     """Sparse sum of terms with a truncation bound; see the module docstring."""
 
-    __slots__ = ("dim", "known_through", "_terms")
+    __slots__ = ("dim", "known_through", "_den", "_terms")
 
     def __init__(self, dim: int, terms=None, known_through=None):
         self.dim = dim
         self.known_through = known_through
-        self._terms: dict = {}
+        self._den, self._terms = 1, {}
         if terms:
             items = terms.items() if hasattr(terms, "items") else terms
-            for (hbar, fiber, word), coeff in items:
-                self._insert(hbar, tuple(fiber), tuple(word), coeff)
+            self._load((coeff, hbar, fiber, word) for (hbar, fiber, word), coeff in items)
 
-    def _insert(self, hbar, fiber, word, coeff):
-        if hbar < 0:
-            raise ValueError("negative hbar power")
-        if len(fiber) != self.dim or any(e < 0 for e in fiber):
-            raise ValueError(f"bad fiber exponents {fiber} for dim {self.dim}")
-        if list(word) != sorted(set(word)):
-            raise ValueError(f"wedge word {word} not strictly increasing")
-        for j in word:
-            if not 1 <= j <= self.dim:
-                raise ValueError(f"wedge index {j} out of range 1..{self.dim}")
-        if coeff.dim != self.dim:
-            raise ValueError("coefficient dimension mismatch")
-        to_nu = i_power(-hbar)
-        for e, c in coeff._coeffs.items():
-            self._add_term(hbar, fiber, word, e, c * to_nu)
+    def _load(self, entries) -> "WeylSeries":
+        """Store the sum of validated (coeff, hbar, fiber, word) entries,
+        dropping terms past known_through; returns self."""
+        scalars: dict = {}
+        for coeff, hbar, fiber, word in entries:
+            fiber, word = tuple(fiber), tuple(word)
+            if hbar < 0:
+                raise ValueError("negative hbar power")
+            if len(fiber) != self.dim or any(e < 0 for e in fiber):
+                raise ValueError(f"bad fiber exponents {fiber} for dim {self.dim}")
+            if list(word) != sorted(set(word)):
+                raise ValueError(f"wedge word {word} not strictly increasing")
+            for j in word:
+                if not 1 <= j <= self.dim:
+                    raise ValueError(f"wedge index {j} out of range 1..{self.dim}")
+            if coeff.dim != self.dim:
+                raise ValueError("coefficient dimension mismatch")
+            if self.known_through is not None and 2 * hbar + sum(fiber) > self.known_through:
+                continue
+            to_nu = i_power(-hbar)
+            for e, c in coeff._coeffs.items():
+                key = (hbar, fiber, word, e)
+                scalars[key] = scalars.get(key, 0) + c * to_nu
+        return self._set(*_numerators(scalars))
 
-    def _add_term(self, k, fiber, word, exps, c):
-        """Accumulate a well-formed term, dropping it past known_through."""
-        if self.known_through is None or 2 * k + sum(fiber) <= self.known_through:
-            _accumulate(self._terms, (k, fiber, word, exps), c)
+    def _set(self, den: int, terms: dict) -> "WeylSeries":
+        """Store terms, int numerators over den > 0, in lowest terms and
+        without zeros; returns self."""
+        terms = {key: n for key, n in terms.items() if n}
+        g = gcd(den, *terms.values())
+        if g > 1:
+            den, terms = den // g, {key: n // g for key, n in terms.items()}
+        self._den, self._terms = den, terms
+        return self
 
     @classmethod
     def zero(cls, dim: int, known_through=None) -> "WeylSeries":
@@ -169,12 +181,9 @@ class WeylSeries:
     @classmethod
     def build(cls, dim: int, entries, known_through=None) -> "WeylSeries":
         """entries: iterable of (coeff, hbar, fiber, word); coeff may be scalar."""
-        out = cls(dim, known_through=known_through)
-        for coeff, hbar, fiber, word in entries:
-            if not isinstance(coeff, BasePolynomial):
-                coeff = BasePolynomial.constant(dim, coeff)
-            out._insert(hbar, tuple(fiber), tuple(word), coeff)
-        return out
+        return cls(dim, known_through=known_through)._load(
+            (c if isinstance(c, BasePolynomial) else BasePolynomial.constant(dim, c), hbar, fiber, word)
+            for c, hbar, fiber, word in entries)
 
     @classmethod
     def from_poly(cls, p: BasePolynomial) -> "WeylSeries":
@@ -183,15 +192,14 @@ class WeylSeries:
 
     def _filtered(self, keep, known_through) -> "WeylSeries":
         """The terms whose key satisfies keep, under a new bound."""
-        out = WeylSeries(self.dim, known_through=known_through)
-        out._terms = {key: c for key, c in self._terms.items() if keep(*key)}
-        return out
+        return WeylSeries(self.dim, known_through=known_through)._set(
+            self._den, {key: n for key, n in self._terms.items() if keep(*key)})
 
     def terms(self) -> list[WeylTerm]:
         """Canonical order: hbar power, fiber exponents, wedge word."""
         return [
             WeylTerm(k, f, w, BasePolynomial(self.dim, {e: c * i_power(k) for e, c in q.items()}))
-            for (k, f, w), q in sorted(_groups(self._terms).items())
+            for (k, f, w), q in sorted(_groups(_rationals(self._den, self._terms)).items())
         ]
 
     def is_zero(self) -> bool:
@@ -208,7 +216,7 @@ class WeylSeries:
         """
         if not self._terms:
             return None
-        return max(2 * k + sum(f) for k, f, _, _ in self._terms)
+        return max(2 * k + sum(f) for _, k, f, _, _ in self._terms)
 
     def _check(self, other):
         if self.dim != other.dim:
@@ -220,11 +228,15 @@ class WeylSeries:
         if not isinstance(other, WeylSeries):
             return NotImplemented
         self._check(other)
-        out = WeylSeries(self.dim, known_through=_min_known(self.known_through, other.known_through))
-        for src in (self._terms, other._terms):
-            for (k, f, w, e), c in src.items():
-                out._add_term(k, f, w, e, c)
-        return out
+        known = _min_known(self.known_through, other.known_through)
+        den = lcm(self._den, other._den)
+        terms: dict = {}
+        for src in (self, other):
+            m = den // src._den
+            for key, n in src._terms.items():
+                if known is None or 2 * key[1] + sum(key[2]) <= known:
+                    terms[key] = terms.get(key, 0) + n * m
+        return WeylSeries(self.dim, known_through=known)._set(den, terms)
 
     def __sub__(self, other):
         if isinstance(other, (WeylSeries, BasePolynomial)):
@@ -232,20 +244,18 @@ class WeylSeries:
         return NotImplemented
 
     def __neg__(self):
-        out = WeylSeries(self.dim, known_through=self.known_through)
-        out._terms = {key: -c for key, c in self._terms.items()}
-        return out
+        return self.scale(-1)
 
     def scale(self, s) -> "WeylSeries":
-        out = WeylSeries(self.dim, known_through=self.known_through)
-        s = _coeff(s)
-        if s:
-            out._terms = {key: _coeff(c * s) for key, c in self._terms.items()}
-        return out
+        """The series times s, an int or a Fraction."""
+        if not isinstance(s, (int, Fraction)):
+            raise TypeError(f"cannot scale a series by {type(s).__name__}")
+        return WeylSeries(self.dim, known_through=self.known_through)._set(
+            self._den * s.denominator, {key: n * s.numerator for key, n in self._terms.items()})
 
     def truncate(self, cap: int) -> "WeylSeries":
         known = cap if self.known_through is None else min(self.known_through, cap)
-        return self._filtered(lambda k, f, w, e: 2 * k + sum(f) <= known, known)
+        return self._filtered(lambda u, k, f, w, e: 2 * k + sum(f) <= known, known)
 
     def homogeneous_part(self, z: int) -> "WeylSeries":
         """All terms of degree z, as an exact standalone series."""
@@ -253,15 +263,15 @@ class WeylSeries:
             raise TruncationError(
                 f"degree {z} beyond known_through={self.known_through}"
             )
-        return self._filtered(lambda k, f, w, e: 2 * k + sum(f) == z, None)
+        return self._filtered(lambda u, k, f, w, e: 2 * k + sum(f) == z, None)
 
     def form_degrees(self) -> set[int]:
-        return {len(w) for _, _, w, _ in self._terms}
+        return {len(key[3]) for key in self._terms}
 
     def __eq__(self, other):
         if not isinstance(other, WeylSeries):
             return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
+        return (self.dim, self._den, self._terms) == (other.dim, other._den, other._terms)
 
     __hash__ = None
 
@@ -269,7 +279,7 @@ class WeylSeries:
         return format_series(self)
 
     def __repr__(self):
-        n = len(_groups(self._terms))
+        n = len({key[1:4] for key in self._terms})
         return f"<WeylSeries dim={self.dim} terms={n} known_through={self.known_through}>"
 
 
@@ -322,11 +332,7 @@ def _potential_min_degree(a: WeylSeries, fiber_only: bool = False):
     With fiber_only=True, X-free terms are ignored: they are central, so
     they cannot contaminate a commutator with unknown grades.
     """
-    cands = []
-    for k, f, _w, _e in a._terms:
-        if fiber_only and not any(f):
-            continue
-        cands.append(2 * k + sum(f))
+    cands = [2 * k + sum(f) for _, k, f, _, _ in a._terms if any(f) or not fiber_only]
     if a.known_through is not None:
         cands.append(a.known_through + 1)
     return min(cands) if cands else None
@@ -460,52 +466,45 @@ class WeylAlgebra:
         return cap
 
     def _product(self, a: WeylSeries, b: WeylSeries, eff, mode=_CIRC) -> WeylSeries:
-        """Sum of the kernel terms of every pair of (nu, fiber, word) groups
-        through degree eff, in ints over D_a D_b (2 D)^T, T the top kernel
-        order reached (kernels list t in rising order).  Groups carry a unit
-        u, 1 for an imaginary part: two of them make a real term, negated."""
-        den_a, *parts_a = _numerators(a._terms)
-        den_b, *parts_b = _numerators(b._terms)
-        right = [(u, k2, f2, w2, q2, 2 * k2 + sum(f2)) for u, part in enumerate(parts_b)
-                 for (k2, f2, w2), q2 in _groups(part).items()]
-        words = {(w1, w2): _merge(w1, w2) for w1 in {key[2] for key in a._terms}
-                 for w2 in {key[2] for key in b._terms}}
+        """Sum of the kernel terms of every pair of (u, nu, fiber, word) groups
+        through degree eff, in ints over den_a den_b (2 D)^T, T the top kernel
+        order reached (kernels list t in rising order)."""
+        right = [(u2, k2, f2, w2, q2, 2 * k2 + sum(f2))
+                 for (u2, k2, f2, w2), q2 in _groups(b._terms).items()]
+        words = {(w1, w2): _merge(w1, w2) for w1 in {key[3] for key in a._terms}
+                 for w2 in {key[3] for key in b._terms}}
         kernels, jobs, top = self._kernels, [], 0
-        for u1, part in enumerate(parts_a):
-            for (k1, f1, w1), q1 in _groups(part).items():
-                d1 = 2 * k1 + sum(f1)
-                for u2, k2, f2, w2, q2, d2 in right:
-                    if eff is not None and d1 + d2 > eff:
-                        continue
-                    kernel = kernels.get((f1, f2, mode))
-                    if kernel is None:
-                        kernel = kernels[(f1, f2, mode)] = _kernel(self._pairs, f1, f2, mode)
-                    if not kernel:
-                        continue
-                    word, sign = words[(w1, w2)]
-                    if sign == 0:
-                        continue
-                    # the q-parts multiply once, so like q-terms merge before the kernel
-                    base: dict = {}
-                    for e1, c1 in q1.items():
-                        for e2, c2 in q2.items():
-                            e = tuple(map(add, e1, e2))
-                            base[e] = base.get(e, 0) + c1 * c2
-                    jobs.append(((u1 + u2) % 2, k1 + k2, word, -sign if u1 + u2 == 2 else sign,
-                                 kernel, base))
-                    top = max(top, kernel[-1][0])
+        for (u1, k1, f1, w1), q1 in _groups(a._terms).items():
+            d1 = 2 * k1 + sum(f1)
+            for u2, k2, f2, w2, q2, d2 in right:
+                if eff is not None and d1 + d2 > eff:
+                    continue
+                kernel = kernels.get((f1, f2, mode))
+                if kernel is None:
+                    kernel = kernels[(f1, f2, mode)] = _kernel(self._pairs, f1, f2, mode)
+                if not kernel:
+                    continue
+                word, sign = words[(w1, w2)]
+                if sign == 0:
+                    continue
+                # the q-parts multiply once, so like q-terms merge before the kernel
+                base: dict = {}
+                for e1, c1 in q1.items():
+                    for e2, c2 in q2.items():
+                        e = tuple(map(add, e1, e2))
+                        base[e] = base.get(e, 0) + c1 * c2
+                jobs.append((u1 ^ u2, k1 + k2, word, -sign if u1 & u2 else sign, kernel, base))
+                top = max(top, kernel[-1][0])
         powers = [self._scale ** (top - t) for t in range(top + 1)]
-        acc = ({}, {})
+        terms: dict = {}
         for u, k, word, sign, kernel, base in jobs:
-            terms = acc[u]
             for t, fiber, n in kernel:
                 n *= sign * powers[t]
                 for e, c in base.items():
-                    key = (k + t, fiber, word, e)
+                    key = (u, k + t, fiber, word, e)
                     terms[key] = terms.get(key, 0) + c * n
-        out = WeylSeries(self.dim, known_through=eff)
-        out._terms = _rationals(*acc, den_a * den_b * self._scale ** top)
-        return out
+        return WeylSeries(self.dim, known_through=eff)._set(
+            a._den * b._den * self._scale ** top, terms)
 
     def _xfree(self, a: WeylSeries, b: WeylSeries, cap) -> WeylSeries:
         """The X-free terms of a o b through degree cap: what sigma keeps of it."""
@@ -531,7 +530,7 @@ class WeylAlgebra:
 def sigma(a: WeylSeries) -> dict[int, BasePolynomial]:
     """Projection X -> 0 of a form-degree-0 series, keyed by hbar power."""
     out: dict[int, BasePolynomial] = {}
-    for (k, f, w), q in _groups(a._terms).items():
+    for (k, f, w), q in _groups(_rationals(a._den, a._terms)).items():
         if w:
             raise ValueError("sigma applies to form-degree-0 series only")
         if not any(f):
@@ -542,9 +541,8 @@ def sigma(a: WeylSeries) -> dict[int, BasePolynomial]:
 def div_ihbar(a: WeylSeries) -> WeylSeries:
     """Divide by i*hbar, a shift of nu; every term must carry hbar^k, k >= 1."""
     known = a.known_through if a.known_through is None else a.known_through - 2
-    out = WeylSeries(a.dim, known_through=known)
-    for (k, f, w, e), c in a._terms.items():
+    for _, k, f, w, _ in a._terms:
         if k == 0:
             raise DivisibilityError(f"term with hbar^0 not divisible: fiber={f} word={w}")
-        out._add_term(k - 1, f, w, e, c)
-    return out
+    return WeylSeries(a.dim, known_through=known)._set(
+        a._den, {(u, k - 1, f, w, e): n for (u, k, f, w, e), n in a._terms.items()})

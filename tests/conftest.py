@@ -59,31 +59,31 @@ def rand_word(rng: random.Random, dim: int, m: int | None = None) -> tuple[int, 
 
 def rand_series(rng: random.Random, dim: int, terms: int = 3, max_hbar: int = 1,
                 max_fiber: int = 2, forms: bool = True, qdeg: int = 1) -> WeylSeries:
-    out = WeylSeries(dim)
+    entries = []
     for _ in range(terms):
         hbar = rng.randint(0, max_hbar)
         fiber = tuple(rng.randint(0, max_fiber) for _ in range(dim))
         word = rand_word(rng, dim) if forms else ()
-        out._insert(hbar, fiber, word, rand_poly(rng, dim, deg=qdeg))
-    return out
+        entries.append((rand_poly(rng, dim, deg=qdeg), hbar, fiber, word))
+    return WeylSeries.build(dim, entries)
 
 
 def rand_form_homogeneous(rng: random.Random, dim: int, form_degree: int,
                           terms: int = 3, max_hbar: int = 1, qdeg: int = 1) -> WeylSeries:
     """Random series whose every term has the given form degree."""
-    out = WeylSeries(dim)
+    entries = []
     for _ in range(terms):
         hbar = rng.randint(0, max_hbar)
         fiber = tuple(rng.randint(0, 2) for _ in range(dim))
         word = rand_word(rng, dim, form_degree)
-        out._insert(hbar, fiber, word, rand_poly(rng, dim, deg=qdeg))
-    return out
+        entries.append((rand_poly(rng, dim, deg=qdeg), hbar, fiber, word))
+    return WeylSeries.build(dim, entries)
 
 
 def rand_homogeneous(rng: random.Random, dim: int, degree: int,
                      terms: int = 3, forms: bool = False, qdeg: int = 0) -> WeylSeries:
     """Random series with every term of the given grading degree."""
-    out = WeylSeries(dim)
+    entries = []
     for _ in range(terms):
         hbar = rng.randint(0, degree // 2)
         left = degree - 2 * hbar
@@ -91,8 +91,8 @@ def rand_homogeneous(rng: random.Random, dim: int, degree: int,
         for _ in range(left):
             fiber[rng.randrange(dim)] += 1
         word = rand_word(rng, dim) if forms else ()
-        out._insert(hbar, tuple(fiber), word, rand_poly(rng, dim, deg=qdeg))
-    return out
+        entries.append((rand_poly(rng, dim, deg=qdeg), hbar, tuple(fiber), word))
+    return WeylSeries.build(dim, entries)
 
 
 def rand_connection(rng: random.Random, dim: int, entries: int = 3,

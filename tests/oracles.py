@@ -7,6 +7,8 @@ bracket-free recursion checked pair by pair afterwards for the verdict of
 products per pair of form degrees for the one-pass commutator, the
 per-call contraction recursion for the memoized product kernel, and
 term-by-term scalar loops for the integer product and graded operators.
+The loops read and write series only as flat maps of scalars, through
+`scalars` and `from_scalars`.
 """
 
 from dataclasses import dataclass
@@ -19,6 +21,17 @@ from fedosov.calculus import covariant_d, delta_inv
 from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
 from fedosov.scalars import _accumulate, _coeff, i_power
 from fedosov.weyl import WeylAlgebra, WeylSeries, div_ihbar, wedge_normalize
+
+
+def scalars(s: WeylSeries) -> dict:
+    """s as a flat map (nu power, fiber, word, q-exponents) -> Fraction or
+    GaussianRational."""
+    return weyl._rationals(s._den, s._terms)
+
+
+def from_scalars(dim: int, known_through, terms: dict) -> WeylSeries:
+    """The series of a flat map of scalars, as `scalars` returns one."""
+    return WeylSeries(dim, known_through=known_through)._set(*weyl._numerators(terms))
 
 
 def abelian_r_iterative(m: ManifoldSpec, c: ConnectionSpec, steps: int, N: int) -> AbelianCorrection:
@@ -96,20 +109,19 @@ def commutator_two_products(alg: WeylAlgebra, a: WeylSeries, b: WeylSeries, cap=
     eff = alg._effective_cap(a, b, cap, fiber_only=True)
 
     def form_part(s, m):
-        out = WeylSeries(s.dim, known_through=s.known_through)
-        out._terms = {key: c for key, c in s._terms.items() if len(key[2]) == m}
-        return out
+        return from_scalars(s.dim, s.known_through,
+                            {key: c for key, c in scalars(s).items() if len(key[2]) == m})
 
-    out = WeylSeries(a.dim, known_through=eff)
+    out: dict = {}
     for m1 in a.form_degrees():
         for m2 in b.form_degrees():
             ap, bp = form_part(a, m1), form_part(b, m2)
             left = alg._product(ap, bp, eff)
             right = alg._product(bp, ap, eff)
             piece = left + right if (m1 * m2) % 2 else left - right
-            for (k, f, w, e), c in piece._terms.items():
-                out._add_term(k, f, w, e, c)
-    return out
+            for key, c in scalars(piece).items():
+                _accumulate(out, key, c)
+    return from_scalars(a.dim, eff, out)
 
 
 def contractions_uncached(alg: WeylAlgebra, alpha, beta):
@@ -179,11 +191,10 @@ def kernel_uncached(alg: WeylAlgebra, alpha, beta, mode):
 def product_reference(alg: WeylAlgebra, a: WeylSeries, b: WeylSeries, eff, mode=weyl._CIRC) -> WeylSeries:
     """WeylAlgebra._product by one scalar multiplication per base term and
     kernel entry, with every kernel summed from contractions_uncached."""
-    out = WeylSeries(alg.dim, known_through=eff)
-    terms = out._terms
+    terms: dict = {}
     right = [(k2, f2, w2, q2, 2 * k2 + sum(f2))
-             for (k2, f2, w2), q2 in weyl._groups(b._terms).items()]
-    for (k1, f1, w1), q1 in weyl._groups(a._terms).items():
+             for (k2, f2, w2), q2 in weyl._groups(scalars(b)).items()]
+    for (k1, f1, w1), q1 in weyl._groups(scalars(a)).items():
         d1 = 2 * k1 + sum(f1)
         for k2, f2, w2, q2, d2 in right:
             if eff is not None and d1 + d2 > eff:
@@ -202,29 +213,29 @@ def product_reference(alg: WeylAlgebra, a: WeylSeries, b: WeylSeries, eff, mode=
             for (t, fiber), scalar in kernel.items():
                 for e, c in base.items():
                     _accumulate(terms, (k1 + k2 + t, fiber, word, e), c * scalar)
-    return out
+    return from_scalars(alg.dim, eff, terms)
 
 
 def delta_reference(a: WeylSeries) -> WeylSeries:
     """calculus.delta term by term in scalar arithmetic."""
     known = a.known_through if a.known_through is None else a.known_through - 1
-    out = WeylSeries(a.dim, known_through=known)
-    for (k, f, w, e), c in a._terms.items():
+    out: dict = {}
+    for (k, f, w, e), c in scalars(a).items():
         for i, fi in enumerate(f):
             if fi == 0:
                 continue
             word, sign = wedge_normalize((i + 1,) + w, a.dim)
             if sign == 0:
                 continue
-            out._add_term(k, f[:i] + (fi - 1,) + f[i + 1 :], word, e, c * (sign * fi))
-    return out
+            _accumulate(out, (k, f[:i] + (fi - 1,) + f[i + 1 :], word, e), c * (sign * fi))
+    return from_scalars(a.dim, known, out)
 
 
 def delta_inv_reference(a: WeylSeries) -> WeylSeries:
     """calculus.delta_inv term by term in scalar arithmetic."""
     known = a.known_through if a.known_through is None else a.known_through + 1
-    out = WeylSeries(a.dim, known_through=known)
-    for (k, f, w, e), c in a._terms.items():
+    out: dict = {}
+    for (k, f, w, e), c in scalars(a).items():
         l, m = sum(f), len(w)
         if l + m == 0:
             continue
@@ -233,19 +244,19 @@ def delta_inv_reference(a: WeylSeries) -> WeylSeries:
             sign = -1 if pos % 2 else 1
             fiber = f[: j - 1] + (f[j - 1] + 1,) + f[j:]
             word = w[:pos] + w[pos + 1 :]
-            out._add_term(k, fiber, word, e, c * (sign * scale))
-    return out
+            _accumulate(out, (k, fiber, word, e), c * (sign * scale))
+    return from_scalars(a.dim, known, out)
 
 
 def ext_d_reference(a: WeylSeries) -> WeylSeries:
     """calculus.ext_d term by term in scalar arithmetic."""
-    out = WeylSeries(a.dim, known_through=a.known_through)
-    for (k, f, w, e), c in a._terms.items():
+    out: dict = {}
+    for (k, f, w, e), c in scalars(a).items():
         for i, ei in enumerate(e):
             if ei == 0:
                 continue
             word, sign = wedge_normalize((i + 1,) + w, a.dim)
             if sign == 0:
                 continue
-            out._add_term(k, f, word, e[:i] + (ei - 1,) + e[i + 1 :], c * (sign * ei))
-    return out
+            _accumulate(out, (k, f, word, e[:i] + (ei - 1,) + e[i + 1 :]), c * (sign * ei))
+    return from_scalars(a.dim, a.known_through, out)

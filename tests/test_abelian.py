@@ -344,6 +344,37 @@ class TestRationalEngine:
             assert (built[0], len(curvatures)) == (0, 0)
             assert report.ok and sweep
 
+    def test_fractions_built_only_at_the_boundary(self, curved2, poly2, monkeypatch):
+        # a series stores int numerators over one denominator, so the solve,
+        # a lift, and the check with the closure sweep build Fractions only
+        # at the boundary, however many grades they run
+        built = [0]
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        def phase(run):
+            built[0] = 0
+            result = run()
+            return built[0], result
+
+        q1, q2 = BasePolynomial.variable(2, 1), BasePolynomial.variable(2, 2)
+        a0 = q1 * q1 * q2
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        for m, c in (curved2, poly2):
+            m.algebra  # built once per manifold, before any phase
+            counts = []
+            for N in (6, 12):
+                solve, r = phase(lambda: abelian_r(m, c, N))
+                lift, section = phase(lambda: flat_section(r, a0, N))
+                check, (report, sweep) = phase(lambda: (
+                    check_abelian(r), [finiteness_test(r, mm) for mm in range(4, N + 1)]))
+                counts.append((solve, lift, check))
+                assert report.ok and sweep and not section.series.is_zero()
+            assert counts[1] == counts[0], counts
+
 
 class TestCommutingShortcut:
     """`fedosov finite`'s verdict, its first line of output, against the
