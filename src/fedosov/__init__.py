@@ -1,10 +1,12 @@
 """Exact symbolic engine for Fedosov-type deformation quantization on
 flat phase spaces: the fiberwise Weyl product, the graded calculus, the
-recursive Abelian connection, flat sections and the induced star product,
-plus the closed-form 2D coefficient machinery.
+recursive Abelian connection, flat sections and the induced star product.
+The closed-form 2D square and cascade machinery is imported on its own,
+from fedosov.twodim.
 
-All arithmetic is exact (Fraction, with powers of nu = i*hbar stored for
-hbar, and Gaussian rationals where a value carries i); nothing here floats.
+All arithmetic is exact; nothing here floats.  Weyl series store int
+numerators over one denominator; base polynomials and the public scalars
+are Fraction, or GaussianRational where a value carries i.
 """
 
 from .abelian import (
@@ -16,14 +18,11 @@ from .abelian import (
     check_abelian,
     finiteness_test,
     flat_section,
-    flatness_residual,
     star,
-    star_hbar,
 )
-from .calculus import covariant_d, delta, delta_inv, ext_d, hodge_split
+from .calculus import covariant_d, delta, delta_inv, ext_d
 from .geometry import (
     ConnectionSpec,
-    CurvatureTensor,
     ManifoldSpec,
     ValidationError,
     ValidationReport,
@@ -41,23 +40,10 @@ from .manifest import (
     parse_manifest,
     parse_poly,
     parse_scalar,
-    series_from_records,
     series_to_records,
 )
 from .poly import BasePolynomial, format_poly
 from .scalars import GaussianRational, format_scalar
-from .twodim import (
-    CascadeError,
-    CascadeResult,
-    CoefficientTable,
-    SquareCheckResult,
-    cascade_solve,
-    f_coeff,
-    g_coeff,
-    monomial_circ,
-    random_table,
-    square_check,
-)
 from .weyl import (
     DivisibilityError,
     TruncationError,

@@ -55,12 +55,6 @@ class AbelianCorrection:
             raise TruncationError(f"r[{z}] not computed (known through {self.known_through})")
         return self.parts.get(z, WeylSeries.zero(self.manifold.dim))
 
-    def series(self) -> WeylSeries:
-        out = WeylSeries.zero(self.manifold.dim, known_through=self.known_through)
-        for p in self.parts.values():
-            out = out + p.truncate(self.known_through)
-        return out
-
     def nonzero_grades(self) -> list[int]:
         return sorted(z for z, p in self.parts.items() if not p.is_zero())
 
@@ -256,13 +250,6 @@ def flat_section(r: AbelianCorrection, a0: BasePolynomial, N: int | None = None)
     return FlatSection(a0=a0, series=series, known_through=N)
 
 
-def flatness_residual(r: AbelianCorrection, section: FlatSection) -> WeylSeries:
-    """-delta a + covariant_d a + (1/i hbar)[r, a]; zero through grade N-1."""
-    alg = r.manifold.algebra
-    a = section.series
-    return -delta(a) + covariant_d(alg, r._gamma, a) + div_ihbar(alg.commutator(r.series(), a))
-
-
 def star(m: ManifoldSpec, c: ConnectionSpec, a0: BasePolynomial, b0: BasePolynomial,
          K: int, r: AbelianCorrection | None = None) -> dict[int, BasePolynomial]:
     """Star product through hbar^K: lift both observables to flat sections
@@ -280,23 +267,3 @@ def star(m: ManifoldSpec, c: ConnectionSpec, a0: BasePolynomial, b0: BasePolynom
     sb = flat_section(r, b0, 2 * K)
     prod = m.algebra._xfree(sa.series, sb.series, cap=2 * K)
     return {k: p for k, p in sigma(prod).items() if k <= K}
-
-
-def star_hbar(m: ManifoldSpec, c: ConnectionSpec, a: dict[int, BasePolynomial],
-              b: dict[int, BasePolynomial], K: int,
-              r: AbelianCorrection | None = None) -> dict[int, BasePolynomial]:
-    """Star product of hbar-expanded observables, bilinear over hbar powers."""
-    if K < 0:
-        raise ValueError("need K >= 0")
-    if r is None:
-        r = abelian_r(m, c, max(3, 2 * K))
-    out: dict[int, BasePolynomial] = {}
-    for ja, pa in a.items():
-        for jb, pb in b.items():
-            if ja + jb > K:
-                continue
-            piece = star(m, c, pa, pb, K - ja - jb, r=r)
-            for k, p in piece.items():
-                j = ja + jb + k
-                out[j] = out[j] + p if j in out else p
-    return {k: p for k, p in out.items() if p}

@@ -68,14 +68,6 @@ def ext_d(a: WeylSeries) -> WeylSeries:
     return _linear(a, 0, each)
 
 
-def hodge_split(a: WeylSeries):
-    """(delta delta_inv a, delta_inv delta a, X-free form-free part)."""
-    dd = delta(delta_inv(a))
-    di = delta_inv(delta(a))
-    rest = a._filtered(lambda u, k, f, w, e: not any(f) and not w, a.known_through)
-    return dd, di, rest
-
-
 def covariant_d(alg: WeylAlgebra, gamma: WeylSeries, a: WeylSeries) -> WeylSeries:
     """d a + (1/i hbar)[gamma, a] for a connection one-form gamma.
 

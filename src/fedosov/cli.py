@@ -16,16 +16,17 @@ line, one of
 the last followed by the closure system's outcome for each m = 4..Z.
 
 Exit codes: 0 success, 1 a mathematical check failed, 2 invalid spec or
-invalid request (numeric options are range-checked, so that no request
-runs without end), 3 parse error.  All output is deterministic: canonical
-term order plus exact arithmetic make repeat runs byte-identical.
+invalid request (numeric options are range-checked), 3 parse error.  The
+ranges bound the input, not yet the work: in dim >= 4, requests near the
+top of the --degree, --zmax and --order ranges may run for hours or exhaust
+memory.  All output is deterministic: canonical term order plus exact
+arithmetic make repeat runs byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from .abelian import abelian_r, check_abelian, finiteness_test, star
@@ -38,7 +39,6 @@ from .manifest import (
     series_to_records,
 )
 from .poly import format_poly
-from .twodim import CascadeError, cascade_solve, random_table, square_check
 from .weyl import format_series
 
 
@@ -136,6 +136,10 @@ def cmd_finite(args) -> int:
 
 
 def cmd_prop41(args) -> int:
+    import random
+
+    from .twodim import CascadeError, cascade_solve, random_table, square_check
+
     if _out_of_range("--z", args.z, 1, 16) or _out_of_range("--trials", args.trials, 1, 1000):
         return 2
     rng = random.Random(args.seed)

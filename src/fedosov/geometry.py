@@ -199,33 +199,8 @@ def gamma_form(m: ManifoldSpec, c: ConnectionSpec) -> WeylSeries:
     return WeylSeries.build(n, entries)
 
 
-class CurvatureTensor:
-    """R_{ijkl} coefficients, stored sparsely."""
-
-    __slots__ = ("dim", "_entries")
-
-    def __init__(self, dim: int, entries=None):
-        self.dim = dim
-        self._entries = {}
-        for idx, poly in (entries or {}).items():
-            if not poly.is_zero():
-                self._entries[tuple(idx)] = poly
-
-    def entry(self, i: int, j: int, k: int, l: int) -> BasePolynomial:
-        p = self._entries.get((i, j, k, l))
-        return p if p is not None else BasePolynomial.zero(self.dim)
-
-    def entries(self):
-        return sorted(self._entries.items())
-
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    def __repr__(self):
-        return f"<CurvatureTensor dim={self.dim} nonzero={len(self._entries)}>"
-
-
-def curvature_tensor(m: ManifoldSpec, c: ConnectionSpec) -> CurvatureTensor:
+def curvature_tensor(m: ManifoldSpec, c: ConnectionSpec) -> dict:
+    """The nonzero R_{ijkl} as {(i, j, k, l): BasePolynomial}."""
     n = m.dim
     entries = {}
     for i in range(1, n + 1):
@@ -243,7 +218,7 @@ def curvature_tensor(m: ManifoldSpec, c: ConnectionSpec) -> CurvatureTensor:
                                 r = r + quad.scale(w)
                     if not r.is_zero():
                         entries[(i, j, k, l)] = r
-    return CurvatureTensor(n, entries)
+    return entries
 
 
 def curvature_form(m: ManifoldSpec, c: ConnectionSpec, via: str = "form-equation") -> WeylSeries:
@@ -265,7 +240,7 @@ def curvature_form(m: ManifoldSpec, c: ConnectionSpec, via: str = "form-equation
         n = m.dim
         quarter = Fraction(1, 4)
         entries = []
-        for (i, j, k, l), poly in curvature_tensor(m, c).entries():
+        for (i, j, k, l), poly in sorted(curvature_tensor(m, c).items()):
             word, sign = wedge_normalize((k, l), n)
             if sign == 0:
                 continue

@@ -317,12 +317,8 @@ def poly_to_records(p: BasePolynomial) -> list[dict]:
     ]
 
 
-def poly_from_records(dim: int, records) -> BasePolynomial:
-    return BasePolynomial(dim, [(rec["exps"], parse_scalar(rec["c"])) for rec in records])
-
-
 def series_to_records(a: WeylSeries) -> list[dict]:
-    """Canonical record list; sorted, exact, round-trips via from_records."""
+    """Canonical record list: sorted and exact, so it reads back losslessly."""
     return [
         {
             "hbar": t.hbar,
@@ -332,9 +328,3 @@ def series_to_records(a: WeylSeries) -> list[dict]:
         }
         for t in a.terms()
     ]
-
-
-def series_from_records(dim: int, records, known_through=None) -> WeylSeries:
-    return WeylSeries(dim, [((rec["hbar"], rec["fiber"], rec["wedge"]),
-                             poly_from_records(dim, rec["coeff"])) for rec in records],
-                      known_through)

@@ -51,10 +51,6 @@ class BasePolynomial:
         exps = tuple(1 if j == k - 1 else 0 for j in range(dim))
         return cls(dim, {exps: 1})
 
-    @classmethod
-    def monomial(cls, dim: int, exps, coeff=1) -> "BasePolynomial":
-        return cls(dim, {tuple(exps): coeff})
-
     def items(self):
         """Terms in canonical order (exponent tuples sorted lexicographically)."""
         return [(e, GaussianRational.of(c)) for e, c in sorted(self._coeffs.items())]
@@ -73,12 +69,6 @@ class BasePolynomial:
 
     def constant_value(self) -> GaussianRational:
         return self.coefficient((0,) * self.dim)
-
-    def total_degree(self):
-        """Max total q-degree, or None for the zero polynomial."""
-        if not self._coeffs:
-            return None
-        return max(sum(e) for e in self._coeffs)
 
     def _check(self, other: "BasePolynomial"):
         if self.dim != other.dim:

@@ -1,4 +1,6 @@
-"""Exact scalars: Fraction in the engine, GaussianRational a + b*i for values with i."""
+"""Exact scalars of base polynomials and of the public boundary: Fraction for
+real values, GaussianRational a + b*i for values with i.  Weyl series keep int
+numerators over one denominator instead."""
 
 from __future__ import annotations
 

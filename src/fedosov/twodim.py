@@ -1,6 +1,6 @@
-"""Closed-form 2D machinery: monomial circle products, the coefficient
-extraction for squares of delta_inv-images, and the elimination cascade
-showing such squares vanish only trivially.
+"""Closed-form 2D machinery: the coefficient extraction for squares of
+delta_inv-images, and the elimination cascade showing such squares vanish
+only trivially.
 
 Conventions on the 2D phase space: q is the X^1 direction, p is the X^2
 direction, omega^{12} = +1 so {q, p} = +1.
@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .calculus import delta_inv
 from .poly import BasePolynomial
-from .scalars import GaussianRational, I, ZERO, i_power
+from .scalars import GaussianRational, I, ZERO
 from .weyl import WeylAlgebra, WeylSeries, WeylTerm
 
 
@@ -41,8 +41,12 @@ class CascadeError(RuntimeError):
 
 
 def _f_raw(r: int, j: int, s: int, k: int, t: int) -> Fraction:
-    # finite-sum kernel; empty summation range means the contraction count
-    # t is out of support and the coefficient is zero
+    """Contraction coefficient of (i*hbar)^t in (X^1)^r(X^2)^j o (X^1)^s(X^2)^k,
+    for exponents >= 0; zero when t is out of support.
+
+    Satisfies f(r,j,s,k,0) = 1 and the swap rule
+    f(s,k,r,j,t) = (-1)^t f(r,j,s,k,t).
+    """
     lo = max(t - r, t - k, 0)
     hi = min(j, s, t)
     if lo > hi:
@@ -63,33 +67,6 @@ def _f_raw(r: int, j: int, s: int, k: int, t: int) -> Fraction:
         2**t,
     )
     return pre * total
-
-
-def f_coeff(r: int, j: int, s: int, k: int, t: int) -> Fraction:
-    """Contraction coefficient of (i*hbar)^t in (X^1)^r(X^2)^j o (X^1)^s(X^2)^k.
-
-    Satisfies f(r,j,s,k,0) = 1 and the swap rule
-    f(s,k,r,j,t) = (-1)^t f(r,j,s,k,t).
-    """
-    for name, v in (("r", r), ("j", j), ("s", s), ("k", k)):
-        if v < 0:
-            raise ValueError(f"{name} must be >= 0, got {v}")
-    if not 0 <= t <= min(r, k) + min(j, s):
-        raise ValueError(
-            f"t={t} out of range 0..{min(r, k) + min(j, s)} for ({r},{j},{s},{k})"
-        )
-    return _f_raw(r, j, s, k, t)
-
-
-def monomial_circ(r: int, j: int, s: int, k: int) -> WeylSeries:
-    """(X^1)^r (X^2)^j o (X^1)^s (X^2)^k in closed form, as a 2D series."""
-    if min(r, j, s, k) < 0:
-        raise ValueError("exponents must be >= 0")
-    entries = []
-    for t in range(min(r, k) + min(j, s) + 1):
-        c = i_power(t) * _f_raw(r, j, s, k, t)
-        entries.append((c, t, (r + s - t, j + k - t), ()))
-    return WeylSeries.build(2, entries)
 
 
 class CoefficientTable:
@@ -135,17 +112,6 @@ class CoefficientTable:
 
     def is_zero(self) -> bool:
         return not self._entries
-
-    @classmethod
-    def from_form(cls, F: WeylSeries) -> "CoefficientTable":
-        _require_square_input(F)
-        z = F.degree() + 1
-        entries = {}
-        for t in F.terms():
-            b = t.coeff.scale(Fraction(1, z - 2 * t.hbar + 1))
-            # constant coefficients come back out as plain scalars
-            entries[(t.hbar, t.fiber[0])] = b.constant_value() if b.is_constant() else b
-        return cls(z, entries)
 
     def to_form(self) -> WeylSeries:
         """The two-form this table encodes (constant or dim-2 values only)."""
@@ -248,9 +214,6 @@ class CascadeResult:
     z: int
     steps: tuple[PivotStep, ...]
     sweeps: int
-
-    def eliminated(self) -> list[tuple[int, int]]:
-        return [s.variable for s in self.steps]
 
     def describe(self) -> str:
         lines = [f"cascade z={self.z}: {len(self.steps)} pivots"]

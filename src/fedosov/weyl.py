@@ -257,14 +257,6 @@ class WeylSeries:
         known = cap if self.known_through is None else min(self.known_through, cap)
         return self._filtered(lambda u, k, f, w, e: 2 * k + sum(f) <= known, known)
 
-    def homogeneous_part(self, z: int) -> "WeylSeries":
-        """All terms of degree z, as an exact standalone series."""
-        if self.known_through is not None and z > self.known_through:
-            raise TruncationError(
-                f"degree {z} beyond known_through={self.known_through}"
-            )
-        return self._filtered(lambda u, k, f, w, e: 2 * k + sum(f) == z, None)
-
     def form_degrees(self) -> set[int]:
         return {len(key[3]) for key in self._terms}
 

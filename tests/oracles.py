@@ -1,14 +1,25 @@
 """Reference routes the tests compare the library against.
 
 Each computes a result the library also computes, by a slower and more
-direct route: the whole-series fixed point for the graded solver, a
-bracket-free recursion checked pair by pair afterwards for the verdict of
-`fedosov finite` on connections whose components all commute, two full
-products per pair of form degrees for the one-pass commutator, the
-per-call contraction recursion for the memoized product kernel, and
-term-by-term scalar loops for the integer product and graded operators.
-The loops read and write series only as flat maps of scalars, through
-`scalars` and `from_scalars`.
+direct route, or reads back what the library writes:
+
+- the whole-series fixed point for the graded solver;
+- a bracket-free recursion, checked pair by pair afterwards, for the
+  verdict of `fedosov finite` on connections whose components all commute;
+- two full products per pair of form degrees for the one-pass commutator;
+- the per-call contraction recursion for the memoized product kernel;
+- term-by-term scalar loops for the integer product and graded operators;
+- the Hodge split a = delta delta_inv a + delta_inv delta a + a_00;
+- the flatness residual of a flat section against the whole series of r;
+- the star product of hbar-expanded observables, bilinear over hbar powers;
+- closed-form 2D monomial products for the general circle product;
+- a coefficient table read off a real two-form, for `g_coeff` against the
+  brute-force square;
+- the reader of `series_to_records`, which shows `abelian --out json` is
+  lossless.
+
+The scalar loops read and write series only as flat maps of scalars,
+through `scalars` and `from_scalars`.
 """
 
 from dataclasses import dataclass
@@ -16,10 +27,13 @@ from fractions import Fraction
 from operator import add
 
 from fedosov import weyl
-from fedosov.abelian import AbelianCorrection
-from fedosov.calculus import covariant_d, delta_inv
+from fedosov.abelian import AbelianCorrection, FlatSection, abelian_r, star
+from fedosov.calculus import covariant_d, delta, delta_inv
 from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
+from fedosov.manifest import parse_scalar
+from fedosov.poly import BasePolynomial
 from fedosov.scalars import _accumulate, _coeff, i_power
+from fedosov.twodim import CoefficientTable, _f_raw, _require_square_input
 from fedosov.weyl import WeylAlgebra, WeylSeries, div_ihbar, wedge_normalize
 
 
@@ -32,6 +46,11 @@ def scalars(s: WeylSeries) -> dict:
 def from_scalars(dim: int, known_through, terms: dict) -> WeylSeries:
     """The series of a flat map of scalars, as `scalars` returns one."""
     return WeylSeries(dim, known_through=known_through)._set(*weyl._numerators(terms))
+
+
+def _grade(s: WeylSeries, z: int) -> WeylSeries:
+    """The terms of s of degree z, as a standalone series."""
+    return s._filtered(lambda u, k, f, w, e: 2 * k + sum(f) == z, None)
 
 
 def abelian_r_iterative(m: ManifoldSpec, c: ConnectionSpec, steps: int, N: int) -> AbelianCorrection:
@@ -54,7 +73,7 @@ def abelian_r_iterative(m: ManifoldSpec, c: ConnectionSpec, steps: int, N: int) 
         if not sq.is_zero():
             source = source + div_ihbar(sq)
         r = delta_inv(source).truncate(N)
-    parts = {z: r.homogeneous_part(z) for z in range(3, N + 1)}
+    parts = {z: _grade(r, z) for z in range(3, N + 1)}
     return AbelianCorrection(m, c, parts, known_through=N)
 
 
@@ -260,3 +279,79 @@ def ext_d_reference(a: WeylSeries) -> WeylSeries:
                 continue
             _accumulate(out, (k, f, word, e[:i] + (ei - 1,) + e[i + 1 :]), c * (sign * ei))
     return from_scalars(a.dim, a.known_through, out)
+
+
+def hodge_split(a: WeylSeries):
+    """(delta delta_inv a, delta_inv delta a, X-free form-free part)."""
+    dd = delta(delta_inv(a))
+    di = delta_inv(delta(a))
+    rest = a._filtered(lambda u, k, f, w, e: not any(f) and not w, a.known_through)
+    return dd, di, rest
+
+
+def correction_series(r: AbelianCorrection) -> WeylSeries:
+    """The sum of r's graded parts, as one series known through r's bound."""
+    out = WeylSeries.zero(r.manifold.dim, known_through=r.known_through)
+    for p in r.parts.values():
+        out = out + p.truncate(r.known_through)
+    return out
+
+
+def flatness_residual(r: AbelianCorrection, section: FlatSection) -> WeylSeries:
+    """-delta a + covariant_d a + (1/i hbar)[r, a]; zero through grade N-1."""
+    alg = r.manifold.algebra
+    a = section.series
+    return -delta(a) + covariant_d(alg, r._gamma, a) + div_ihbar(alg.commutator(correction_series(r), a))
+
+
+def star_hbar(m: ManifoldSpec, c: ConnectionSpec, a: dict[int, BasePolynomial],
+              b: dict[int, BasePolynomial], K: int,
+              r: AbelianCorrection | None = None) -> dict[int, BasePolynomial]:
+    """Star product of hbar-expanded observables, bilinear over hbar powers."""
+    if K < 0:
+        raise ValueError("need K >= 0")
+    if r is None:
+        r = abelian_r(m, c, max(3, 2 * K))
+    out: dict[int, BasePolynomial] = {}
+    for ja, pa in a.items():
+        for jb, pb in b.items():
+            if ja + jb > K:
+                continue
+            piece = star(m, c, pa, pb, K - ja - jb, r=r)
+            for k, p in piece.items():
+                j = ja + jb + k
+                out[j] = out[j] + p if j in out else p
+    return {k: p for k, p in out.items() if p}
+
+
+def monomial_circ(r: int, j: int, s: int, k: int) -> WeylSeries:
+    """(X^1)^r (X^2)^j o (X^1)^s (X^2)^k in closed form, as a 2D series."""
+    if min(r, j, s, k) < 0:
+        raise ValueError("exponents must be >= 0")
+    entries = []
+    for t in range(min(r, k) + min(j, s) + 1):
+        c = i_power(t) * _f_raw(r, j, s, k, t)
+        entries.append((c, t, (r + s - t, j + k - t), ()))
+    return WeylSeries.build(2, entries)
+
+
+def table_from_form(F: WeylSeries) -> CoefficientTable:
+    """The rescaled table b_{2k,l} of a homogeneous even-hbar 2D two-form."""
+    _require_square_input(F)
+    z = F.degree() + 1
+    entries = {}
+    for t in F.terms():
+        b = t.coeff.scale(Fraction(1, z - 2 * t.hbar + 1))
+        # constant coefficients come back out as plain scalars
+        entries[(t.hbar, t.fiber[0])] = b.constant_value() if b.is_constant() else b
+    return CoefficientTable(z, entries)
+
+
+def poly_from_records(dim: int, records) -> BasePolynomial:
+    return BasePolynomial(dim, [(rec["exps"], parse_scalar(rec["c"])) for rec in records])
+
+
+def series_from_records(dim: int, records, known_through=None) -> WeylSeries:
+    return WeylSeries(dim, [((rec["hbar"], rec["fiber"], rec["wedge"]),
+                             poly_from_records(dim, rec["coeff"])) for rec in records],
+                      known_through)

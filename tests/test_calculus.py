@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov.calculus import covariant_d, delta, delta_inv, ext_d, hodge_split
+from fedosov.calculus import covariant_d, delta, delta_inv, ext_d
 from fedosov.geometry import curvature_form, gamma_form
 from fedosov.poly import BasePolynomial
 from fedosov.weyl import WeylAlgebra, WeylSeries, div_ihbar
 
 from conftest import rand_form_homogeneous, rand_poly, rand_series
+from oracles import hodge_split
 
 
 def test_delta_examples():

@@ -8,7 +8,8 @@ import pytest
 
 from fedosov.abelian import abelian_r
 from fedosov.cli import main
-from fedosov.manifest import series_from_records
+
+from oracles import series_from_records
 
 MANIFESTS = pathlib.Path(__file__).resolve().parents[1] / "manifests"
 FLAT = str(MANIFESTS / "flat2d.json")
@@ -245,6 +246,19 @@ def run_process(argv, timeout=30):
     return subprocess.run([sys.executable, "-m", "fedosov", *argv],
                           env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, text=True, timeout=timeout)
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_the_2d_toolkit(self):
+        # only prop41 uses fedosov.twodim, so it alone imports it
+        src = str(MANIFESTS.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = "import fedosov.cli, sys; print(*sorted(m for m in sys.modules if m.startswith('fedosov')))"
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=30, check=True)
+        loaded = proc.stdout.split()
+        assert "fedosov.cli" in loaded and "fedosov.abelian" in loaded
+        assert "fedosov.twodim" not in loaded
 
 
 def gamma_manifest(dim, poly):

@@ -15,15 +15,14 @@ from fedosov.manifest import (
     parse_manifest,
     parse_poly,
     parse_scalar,
-    poly_from_records,
     poly_to_records,
-    series_from_records,
     series_to_records,
 )
 from fedosov.poly import BasePolynomial
 from fedosov.scalars import GaussianRational, format_scalar
 
 from conftest import rand_poly, rand_scalar, rand_series
+from oracles import poly_from_records, series_from_records
 
 
 def const(v):
