@@ -12,7 +12,10 @@ direct route, or reads back what the library writes:
 - the Hodge split a = delta delta_inv a + delta_inv delta a + a_00;
 - the flatness residual of a flat section against the whole series of r;
 - the star product of hbar-expanded observables, bilinear over hbar powers;
-- closed-form 2D monomial products for the general circle product;
+- closed-form 2D monomial products for the general circle product, from
+  the factorial form of the 2D contraction coefficient;
+- the elimination over polynomial indeterminates for the cascade over
+  quadratic forms;
 - a coefficient table read off a real two-form, for `g_coeff` against the
   brute-force square;
 - the reader of `series_to_records`, which shows `abelian --out json` is
@@ -22,6 +25,7 @@ The scalar loops read and write series only as flat maps of scalars,
 through `scalars` and `from_scalars`.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -33,7 +37,14 @@ from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma
 from fedosov.manifest import parse_scalar
 from fedosov.poly import BasePolynomial
 from fedosov.scalars import _accumulate, _coeff, i_power
-from fedosov.twodim import CoefficientTable, _f_raw, _require_square_input
+from fedosov.twodim import (
+    CascadeError,
+    CascadeResult,
+    CoefficientTable,
+    PivotStep,
+    _require_square_input,
+    g_coeff,
+)
 from fedosov.weyl import WeylAlgebra, WeylSeries, div_ihbar, wedge_normalize
 
 
@@ -324,6 +335,35 @@ def star_hbar(m: ManifoldSpec, c: ConnectionSpec, a: dict[int, BasePolynomial],
     return {k: p for k, p in out.items() if p}
 
 
+def _f_raw(r: int, j: int, s: int, k: int, t: int) -> Fraction:
+    """Contraction coefficient of (i*hbar)^t in (X^1)^r(X^2)^j o (X^1)^s(X^2)^k,
+    for exponents >= 0; zero when t is out of support.
+
+    Satisfies f(r,j,s,k,0) = 1 and the swap rule
+    f(s,k,r,j,t) = (-1)^t f(r,j,s,k,t).
+    """
+    lo = max(t - r, t - k, 0)
+    hi = min(j, s, t)
+    if lo > hi:
+        return Fraction(0)
+    total = Fraction(0)
+    for a in range(lo, hi + 1):
+        d = (
+            math.factorial(a)
+            * math.factorial(t - a)
+            * math.factorial(r - t + a)
+            * math.factorial(j - a)
+            * math.factorial(s - a)
+            * math.factorial(k - t + a)
+        )
+        total += Fraction(-1 if a % 2 else 1, d)
+    pre = Fraction(
+        math.factorial(r) * math.factorial(j) * math.factorial(s) * math.factorial(k),
+        2**t,
+    )
+    return pre * total
+
+
 def monomial_circ(r: int, j: int, s: int, k: int) -> WeylSeries:
     """(X^1)^r (X^2)^j o (X^1)^s (X^2)^k in closed form, as a 2D series."""
     if min(r, j, s, k) < 0:
@@ -333,6 +373,50 @@ def monomial_circ(r: int, j: int, s: int, k: int) -> WeylSeries:
         c = i_power(t) * _f_raw(r, j, s, k, t)
         entries.append((c, t, (r + s - t, j + k - t), ()))
     return WeylSeries.build(2, entries)
+
+
+def cascade_reference(z: int) -> CascadeResult:
+    """twodim.cascade_solve by polynomial elimination: one variable per b,
+    and g_coeff on a fresh table of polynomial values for every (A, B).
+
+    The b's are treated as indeterminates.  Sweeping (A, B) in ascending
+    order, an equation that reduces (after earlier eliminations) to
+    factor * b^2 = 0 with a nonzero factor pins that b to zero; sweeps
+    repeat until the table empties.  A sweep with no progress means some
+    variable is not pinned by any square equation, which would break the
+    nonvanishing argument, so it raises instead of passing silently.
+    """
+    if z < 1:
+        raise ValueError("z must be >= 1")
+    keys = CoefficientTable.indices(z)
+    pos = {key: n + 1 for n, key in enumerate(keys)}
+    entries = {key: BasePolynomial.variable(len(keys), pos[key]) for key in keys}
+    steps = []
+    sweeps = 0
+    while any(not v.is_zero() for v in entries.values()):
+        sweeps += 1
+        progress = False
+        for A in range((2 * z - 2) // 4 + 1):
+            for B in range(2 * z - 2 - 4 * A + 1):
+                g = g_coeff(z, CoefficientTable(z, entries), A, B)
+                if not g:
+                    continue
+                items = g.items()
+                if len(items) != 1:
+                    continue  # not yet a single-square pivot; revisit next sweep
+                exps, c = items[0]
+                if sorted(exps)[-1] != 2 or sum(exps) != 2:
+                    continue
+                key = keys[exps.index(2)]
+                steps.append(PivotStep(A, B, key, c))
+                entries[key] = BasePolynomial.zero(len(keys))
+                progress = True
+        if not progress:
+            left = sorted(k for k, v in entries.items() if not v.is_zero())
+            raise CascadeError(
+                f"cascade stalled at z={z}; no square pivot pins {left}"
+            )
+    return CascadeResult(z, tuple(steps), sweeps)
 
 
 def table_from_form(F: WeylSeries) -> CoefficientTable:

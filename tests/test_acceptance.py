@@ -29,7 +29,6 @@ from fedosov.poly import BasePolynomial
 from fedosov.scalars import GaussianRational, I
 from fedosov.twodim import (
     CoefficientTable,
-    _f_raw,
     cascade_solve,
     g_coeff,
     random_table,
@@ -44,7 +43,7 @@ from conftest import (
     rand_poly,
     rand_series,
 )
-from oracles import abelian_r_iterative, hodge_split, monomial_circ, star_hbar
+from oracles import _f_raw, abelian_r_iterative, hodge_split, monomial_circ, star_hbar
 
 
 @contextlib.contextmanager

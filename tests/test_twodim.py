@@ -12,7 +12,6 @@ from fedosov.twodim import (
     CascadeError,
     CoefficientTable,
     SquareCheckResult,
-    _f_raw,
     cascade_solve,
     g_coeff,
     random_table,
@@ -20,7 +19,7 @@ from fedosov.twodim import (
 )
 from fedosov.weyl import WeylAlgebra, WeylSeries
 
-from oracles import monomial_circ, table_from_form
+from oracles import _f_raw, cascade_reference, monomial_circ, table_from_form
 
 
 def xmono(r, j):
@@ -180,6 +179,11 @@ class TestSquareCoefficients:
             g_coeff(3, table, 2, 0)
         with pytest.raises(ValueError):
             g_coeff(3, table, 0, -1)
+        # a table read at another z than its own
+        with pytest.raises(ValueError):
+            g_coeff(5, table, 0, 0)
+        with pytest.raises(ValueError):
+            g_coeff(2, CoefficientTable(3, {(0, 2): 1}), 0, 0)
 
     def test_matches_brute_force_square(self):
         rng = random.Random(37)
@@ -256,3 +260,21 @@ class TestCascade:
     def test_bad_z(self):
         with pytest.raises(ValueError):
             cascade_solve(0)
+
+    def test_matches_polynomial_elimination(self, monkeypatch):
+        # the quadratic forms pin the same b's, by the same pivots and
+        # factors in the same order, as elimination over indeterminates,
+        # through the top of the CLI's --z range
+        for z in range(1, 17):
+            assert cascade_solve(z) == cascade_reference(z), z
+        built = [0]
+        init = BasePolynomial.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[0] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BasePolynomial, "__init__", counting_init)
+        res = cascade_solve(16)
+        assert built[0] == 0
+        assert len(res.steps) == len(CoefficientTable.indices(16)) == 40

@@ -10,7 +10,7 @@ from fedosov import weyl
 from fedosov.calculus import delta, delta_inv, ext_d
 from fedosov.poly import BasePolynomial
 from fedosov.scalars import GaussianRational, I, _accumulate
-from fedosov.twodim import _f_raw
+from fedosov.twodim import CoefficientTable
 from fedosov.weyl import (
     DivisibilityError,
     TruncationError,
@@ -23,6 +23,7 @@ from fedosov.weyl import (
 
 from conftest import rand_homogeneous, rand_poly, rand_series
 from oracles import (
+    _f_raw,
     commutator_two_products,
     delta_inv_reference,
     delta_reference,
@@ -212,9 +213,16 @@ class TestCirc:
         # the 2D kernel is the closed form f(r, j, s, k, t) of
         # (X1^r X2^j) o (X1^s X2^k) at fiber (r+s-t, j+k-t), as a nonzero
         # int numerator over 2^t, nothing missing and nothing extra: all
-        # fiber pairs through length 6
+        # fiber pairs through length 6, and every pair g_coeff reads for
+        # z <= 16, X^(l+1, z-1-2k'-l) o X^(m, z-2w'-m) for table keys (k', l)
+        # and (w', m)
         fibers = [f for f in itertools.product(range(7), repeat=2) if sum(f) <= 6]
-        for (r, j), (s, k) in itertools.product(fibers, repeat=2):
+        pairs = set(itertools.product(fibers, repeat=2))
+        for z in range(1, 17):
+            keys = CoefficientTable.indices(z)
+            pairs.update(((l + 1, z - 1 - 2 * k - l), (m, z - 2 * w - m))
+                         for (k, l), (w, m) in itertools.product(keys, repeat=2))
+        for (r, j), (s, k) in sorted(pairs):
             want = {(t, (r + s - t, j + k - t)): _f_raw(r, j, s, k, t)
                     for t in range(min(r, k) + min(j, s) + 1)}
             got = weyl._kernel(ALG2._pairs, (r, j), (s, k), weyl._CIRC)
