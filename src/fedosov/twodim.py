@@ -22,9 +22,9 @@ The square (delta_inv F) o (delta_inv F) collects into odd hbar powers,
 each g_{2A+1,B} a quadratic form in the b's.  Its factor on b_{2k,l} b_{2w,m}
 is one contraction coefficient of X^(l+1, z-1-4k-l) o X^(m, z-4w-m), read
 from the engine's memoized 2D kernel.  g_coeff evaluates g_{2A+1,B} on a
-table; cascade_solve eliminates the b's over the quadratic forms, one
-square pivot at a time, certifying that the square vanishes only when F
-does.
+table.  cascade_solve treats the b's as indeterminates and eliminates them
+one square pivot at a time, certifying that the square vanishes only when
+F does.
 """
 
 from __future__ import annotations
@@ -32,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import weyl
 from .calculus import delta_inv
 from .poly import BasePolynomial
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational, I, ZERO
 from .weyl import _CIRC, WeylAlgebra, WeylSeries, WeylTerm, _kernel
 
 
@@ -46,7 +47,8 @@ class CoefficientTable:
     """Rescaled coefficients b_{2k,l} of a homogeneous even-hbar two-form.
 
     Keys are (2k, l) with 0 <= k <= (z-1)//4 and 0 <= l <= z-1-4k.  Values
-    are GaussianRational constants or dim-2 BasePolynomials.
+    are GaussianRational constants or dim-2 BasePolynomials; the cascade
+    also feeds tables whose values are indeterminate polynomial variables.
     """
 
     __slots__ = ("z", "_entries")
@@ -74,6 +76,10 @@ class CoefficientTable:
             for k in range((z - 1) // 4 + 1)
             for l in range(z - 4 * k)
         ]
+
+    def get(self, two_k: int, l: int):
+        """Stored value, or None when the slot is absent or zero."""
+        return self._entries.get((two_k, l))
 
     def items(self):
         return sorted(self._entries.items())
@@ -115,54 +121,50 @@ def _require_square_input(F: WeylSeries):
         raise ValueError(f"square input mixes degrees {sorted(degs)}")
 
 
+# omega pairs and scalar scale of the 2D algebra; its kernel table is looked
+# up in weyl._KERNELS on each call, so that g_coeff reads the table in use
 _ALG = WeylAlgebra(2)
-
-
-def _square_form(z: int, A: int, B: int, live):
-    """(key1, key2, factor) for each product b[key1] b[key2] in g_{2A+1,B},
-    keys in live only: a dead key's kernel is never read.
-
-    For key1 = (2k, l) and key2 = (2w, m), factor is 2 i (-1)^(A-k-w) times
-    the coefficient of (i hbar)^u, u = 2A+1-2k-2w, in
-    X^(l+1, z-1-4k-l) o X^(m, z-4w-m): the 2D kernel's numerator at t = u
-    over 2^u, as each t has at most one output fiber in 2D.
-    """
-    if A < 0 or B < 0:
-        raise ValueError("A and B must be >= 0")
-    if 4 * A + B + 2 > 2 * z:
-        raise ValueError(f"(A,B)=({A},{B}) outside the admissible region for z={z}")
-    kernels = _ALG._kernels
-    kmax = (z - 1) // 4
-    for k in range(min(A, kmax) + 1):
-        for w in range(min(A - k, kmax) + 1):
-            u = 2 * A + 1 - 2 * k - 2 * w
-            for l in range(z - 4 * k):
-                m = 2 * A + B - 2 * k - 2 * w - l
-                key1, key2 = (2 * k, l), (2 * w, m)
-                if m < 0 or m > z - 1 - 4 * w or key1 not in live or key2 not in live:
-                    continue
-                pair = ((l + 1, z - 1 - 4 * k - l), (m, z - 4 * w - m), _CIRC)
-                kernel = kernels.get(pair)
-                if kernel is None:
-                    kernel = kernels[pair] = _kernel(_ALG._pairs, *pair)
-                for t, _, n in kernel:
-                    if t == u:
-                        sgn = -1 if (A - k - w) % 2 else 1
-                        yield key1, key2, GaussianRational(0, Fraction(sgn * n, 2 ** (u - 1)))
 
 
 def g_coeff(z: int, b: CoefficientTable, A: int, B: int):
     """Coefficient of hbar^{2A+1} (X^1)^B (X^2)^{2z-2-4A-B} dq^dp in the square.
 
     GaussianRational for constant tables; a polynomial when the table
-    holds polynomial values.
+    holds polynomial values.  The factor on b_{2k,l} b_{2w,m} is 2 i
+    (-1)^(A-k-w) times the coefficient of (i hbar)^u, u = 2A+1-2k-2w, in
+    X^(l+1, z-1-4k-l) o X^(m, z-4w-m): the 2D kernel's numerator at t = u
+    over scale^u, as in 2D each t has at most one output fiber.
     """
     if b.z != z:
         raise ValueError(f"table built for z={b.z}, not z={z}")
+    if A < 0 or B < 0:
+        raise ValueError("A and B must be >= 0")
+    if 4 * A + B + 2 > 2 * z:
+        raise ValueError(f"(A,B)=({A},{B}) outside the admissible region for z={z}")
+    kernels = weyl._KERNELS.setdefault(_ALG._pairs, {})
+    kmax = (z - 1) // 4
     acc = None
-    for key1, key2, factor in _square_form(z, A, B, b._entries):
-        contrib = (b._entries[key1] * b._entries[key2]) * factor
-        acc = contrib if acc is None else acc + contrib
+    for k in range(min(A, kmax) + 1):
+        for w in range(min(A - k, kmax) + 1):
+            u = 2 * A + 1 - 2 * k - 2 * w
+            for l in range(z - 4 * k):
+                m = 2 * A + B - 2 * k - 2 * w - l
+                if m < 0 or m > z - 1 - 4 * w:
+                    continue
+                b1 = b.get(2 * k, l)
+                b2 = b.get(2 * w, m)
+                if b1 is None or b2 is None:
+                    continue
+                pair = ((l + 1, z - 1 - 4 * k - l), (m, z - 4 * w - m), _CIRC)
+                kernel = kernels.get(pair)
+                if kernel is None:
+                    kernel = kernels[pair] = _kernel(_ALG._pairs, *pair)
+                n = next((n for t, _, n in kernel if t == u), 0)
+                if not n:
+                    continue
+                sgn = -2 if (A - k - w) % 2 else 2
+                contrib = (b1 * b2) * (I * Fraction(sgn * n, _ALG._scale ** u))
+                acc = contrib if acc is None else acc + contrib
     return ZERO if acc is None else acc
 
 
@@ -182,7 +184,7 @@ def square_check(F: WeylSeries) -> SquareCheckResult:
     """
     _require_square_input(F)
     d = delta_inv(F)
-    square = _ALG.circ(d, d)
+    square = WeylAlgebra(2).circ(d, d)
     if square.is_zero():
         return SquareCheckResult(True, None, square)
     return SquareCheckResult(False, square.terms()[0], square)
@@ -217,40 +219,42 @@ class CascadeResult:
 def cascade_solve(z: int) -> CascadeResult:
     """Eliminate every b_{2k,l} through single-square pivot equations.
 
-    The b's are treated as indeterminates, and each g_{2A+1,B} as its
-    quadratic form in the b's not yet eliminated.  Sweeping (A, B) in
-    ascending order, a form that reduces to factor * b^2 with a nonzero
-    factor pins that b to zero; sweeps repeat until no b is left.  A sweep
-    with no progress means some variable is not pinned by any square
-    equation, which would break the nonvanishing argument, so it raises
-    instead of passing silently.
+    The b's are treated as indeterminates.  Sweeping (A, B) in ascending
+    order, an equation that reduces (after earlier eliminations) to
+    factor * b^2 = 0 with a nonzero factor pins that b to zero; sweeps
+    repeat until the table empties.  A sweep with no progress means some
+    variable is not pinned by any square equation, which would break the
+    nonvanishing argument, so it raises instead of passing silently.
     """
     if z < 1:
         raise ValueError("z must be >= 1")
-    live = set(CoefficientTable.indices(z))
+    keys = CoefficientTable.indices(z)
+    pos = {key: n + 1 for n, key in enumerate(keys)}
+    entries = {key: BasePolynomial.variable(len(keys), pos[key]) for key in keys}
     steps = []
     sweeps = 0
-    while live:
+    while any(not v.is_zero() for v in entries.values()):
         sweeps += 1
         progress = False
         for A in range((2 * z - 2) // 4 + 1):
             for B in range(2 * z - 2 - 4 * A + 1):
-                form: dict = {}
-                for key1, key2, factor in _square_form(z, A, B, live):
-                    pair = (key1, key2) if key1 <= key2 else (key2, key1)
-                    form[pair] = form.get(pair, ZERO) + factor
-                terms = [(pair, c) for pair, c in form.items() if c]
-                if len(terms) != 1:
-                    continue  # not yet a single-square pivot; revisit next sweep
-                (key, other), c = terms[0]
-                if key != other:
+                g = g_coeff(z, CoefficientTable(z, entries), A, B)
+                if not g:
                     continue
+                items = g.items()
+                if len(items) != 1:
+                    continue  # not yet a single-square pivot; revisit next sweep
+                exps, c = items[0]
+                if sorted(exps)[-1] != 2 or sum(exps) != 2:
+                    continue
+                key = keys[exps.index(2)]
                 steps.append(PivotStep(A, B, key, c))
-                live.remove(key)
+                entries[key] = BasePolynomial.zero(len(keys))
                 progress = True
         if not progress:
+            left = sorted(k for k, v in entries.items() if not v.is_zero())
             raise CascadeError(
-                f"cascade stalled at z={z}; no square pivot pins {sorted(live)}"
+                f"cascade stalled at z={z}; no square pivot pins {left}"
             )
     return CascadeResult(z, tuple(steps), sweeps)
 

@@ -14,8 +14,6 @@ direct route, or reads back what the library writes:
 - the star product of hbar-expanded observables, bilinear over hbar powers;
 - closed-form 2D monomial products for the general circle product, from
   the factorial form of the 2D contraction coefficient;
-- the elimination over polynomial indeterminates for the cascade over
-  quadratic forms;
 - a coefficient table read off a real two-form, for `g_coeff` against the
   brute-force square;
 - the reader of `series_to_records`, which shows `abelian --out json` is
@@ -37,14 +35,7 @@ from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma
 from fedosov.manifest import parse_scalar
 from fedosov.poly import BasePolynomial
 from fedosov.scalars import _accumulate, _coeff, i_power
-from fedosov.twodim import (
-    CascadeError,
-    CascadeResult,
-    CoefficientTable,
-    PivotStep,
-    _require_square_input,
-    g_coeff,
-)
+from fedosov.twodim import CoefficientTable, _require_square_input
 from fedosov.weyl import WeylAlgebra, WeylSeries, div_ihbar, wedge_normalize
 
 
@@ -373,50 +364,6 @@ def monomial_circ(r: int, j: int, s: int, k: int) -> WeylSeries:
         c = i_power(t) * _f_raw(r, j, s, k, t)
         entries.append((c, t, (r + s - t, j + k - t), ()))
     return WeylSeries.build(2, entries)
-
-
-def cascade_reference(z: int) -> CascadeResult:
-    """twodim.cascade_solve by polynomial elimination: one variable per b,
-    and g_coeff on a fresh table of polynomial values for every (A, B).
-
-    The b's are treated as indeterminates.  Sweeping (A, B) in ascending
-    order, an equation that reduces (after earlier eliminations) to
-    factor * b^2 = 0 with a nonzero factor pins that b to zero; sweeps
-    repeat until the table empties.  A sweep with no progress means some
-    variable is not pinned by any square equation, which would break the
-    nonvanishing argument, so it raises instead of passing silently.
-    """
-    if z < 1:
-        raise ValueError("z must be >= 1")
-    keys = CoefficientTable.indices(z)
-    pos = {key: n + 1 for n, key in enumerate(keys)}
-    entries = {key: BasePolynomial.variable(len(keys), pos[key]) for key in keys}
-    steps = []
-    sweeps = 0
-    while any(not v.is_zero() for v in entries.values()):
-        sweeps += 1
-        progress = False
-        for A in range((2 * z - 2) // 4 + 1):
-            for B in range(2 * z - 2 - 4 * A + 1):
-                g = g_coeff(z, CoefficientTable(z, entries), A, B)
-                if not g:
-                    continue
-                items = g.items()
-                if len(items) != 1:
-                    continue  # not yet a single-square pivot; revisit next sweep
-                exps, c = items[0]
-                if sorted(exps)[-1] != 2 or sum(exps) != 2:
-                    continue
-                key = keys[exps.index(2)]
-                steps.append(PivotStep(A, B, key, c))
-                entries[key] = BasePolynomial.zero(len(keys))
-                progress = True
-        if not progress:
-            left = sorted(k for k, v in entries.items() if not v.is_zero())
-            raise CascadeError(
-                f"cascade stalled at z={z}; no square pivot pins {left}"
-            )
-    return CascadeResult(z, tuple(steps), sweeps)
 
 
 def table_from_form(F: WeylSeries) -> CoefficientTable:

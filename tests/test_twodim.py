@@ -19,7 +19,7 @@ from fedosov.twodim import (
 )
 from fedosov.weyl import WeylAlgebra, WeylSeries
 
-from oracles import _f_raw, cascade_reference, monomial_circ, table_from_form
+from oracles import _f_raw, monomial_circ, table_from_form
 
 
 def xmono(r, j):
@@ -261,20 +261,17 @@ class TestCascade:
         with pytest.raises(ValueError):
             cascade_solve(0)
 
-    def test_matches_polynomial_elimination(self, monkeypatch):
-        # the quadratic forms pin the same b's, by the same pivots and
-        # factors in the same order, as elimination over indeterminates,
-        # through the top of the CLI's --z range
+    def test_pivot_factors_through_sixteen(self):
+        # through the top of the CLI's --z range every b is pinned once, by
+        # its own square b[2k,l]^2 in g_{2A+1,B}, B = 2l + 4k - 2A, whose
+        # factor is 2 i (-1)^A f(l+1, z-1-4k-l, l, z-4k-l, 2A+1-4k) in the
+        # factorial form
         for z in range(1, 17):
-            assert cascade_solve(z) == cascade_reference(z), z
-        built = [0]
-        init = BasePolynomial.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built[0] += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(BasePolynomial, "__init__", counting_init)
-        res = cascade_solve(16)
-        assert built[0] == 0
-        assert len(res.steps) == len(CoefficientTable.indices(16)) == 40
+            res = cascade_solve(z)
+            assert sorted(s.variable for s in res.steps) == CoefficientTable.indices(z), z
+            for s in res.steps:
+                two_k, l = s.variable
+                assert s.B == 2 * l + 2 * two_k - 2 * s.A, (z, s)
+                f = _f_raw(l + 1, z - 1 - 2 * two_k - l, l, z - 2 * two_k - l,
+                           2 * s.A + 1 - 2 * two_k)
+                assert s.factor == I * ((-2 if s.A % 2 else 2) * f), (z, s)
