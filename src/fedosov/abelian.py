@@ -17,9 +17,11 @@ per unordered pair j <= k, halved when j = k.  Each correction keeps a
 table of these brackets and of the sources, each formed at most once: the
 solver, check_abelian and the closure system of finiteness_test all read
 it.  Flat sections are lifted from their X-free parts by the same graded
-step, with commutators [r[j], a[w]] in place of the products, and the star
-product of two observables is the projection of the circle product of
-their lifts.
+step, with commutators [r[j], a[w]] in place of the products.  The star
+product through hbar^K projects the circle product of the lifts through
+grade 2K - 1, so r through 2K - 1 suffices: lifted grades w >= 1 have
+fiber length >= 1, and an X-free term at hbar^k pairs a0 with b0 or
+grades with w1 + w2 = 2k.
 """
 
 from __future__ import annotations
@@ -253,17 +255,19 @@ def flat_section(r: AbelianCorrection, a0: BasePolynomial, N: int | None = None)
 def star(m: ManifoldSpec, c: ConnectionSpec, a0: BasePolynomial, b0: BasePolynomial,
          K: int, r: AbelianCorrection | None = None) -> dict[int, BasePolynomial]:
     """Star product through hbar^K: lift both observables to flat sections
-    through grade 2K, multiply, project with sigma.  Only the X-free terms
-    of the product are formed, since sigma drops every other one."""
+    through grade 2K - 1, multiply, project with sigma.  Lifted grades w >= 1
+    have fiber length >= 1, so an X-free term at hbar^k pairs a0 with b0 or
+    grades w1 + w2 = 2k.  Only X-free terms are formed: sigma keeps no other."""
     from .weyl import sigma
 
     if K < 0:
         raise ValueError("need K >= 0")
+    top = max(0, 2 * K - 1)
     if r is None:
-        r = abelian_r(m, c, max(3, 2 * K))
-    elif r.known_through < 2 * K:
-        raise TruncationError(f"need r through {2 * K}, known through {r.known_through}")
-    sa = flat_section(r, a0, 2 * K)
-    sb = flat_section(r, b0, 2 * K)
-    prod = m.algebra._xfree(sa.series, sb.series, cap=2 * K)
+        r = abelian_r(m, c, max(3, top))
+    elif r.known_through < top:
+        raise TruncationError(f"need r through {top}, known through {r.known_through}")
+    a = flat_section(r, a0, top).series - a0
+    b = flat_section(r, b0, top).series - b0
+    prod = WeylSeries.from_poly(a0 * b0) + m.algebra._xfree(a, b, cap=2 * K)
     return {k: p for k, p in sigma(prod).items() if k <= K}
