@@ -265,8 +265,6 @@ def star(m: ManifoldSpec, c: ConnectionSpec, a0: BasePolynomial, b0: BasePolynom
     top = max(0, 2 * K - 1)
     if r is None:
         r = abelian_r(m, c, max(3, top))
-    elif r.known_through < top:
-        raise TruncationError(f"need r through {top}, known through {r.known_through}")
     a = flat_section(r, a0, top).series - a0
     b = flat_section(r, b0, top).series - b0
     prod = WeylSeries.from_poly(a0 * b0) + m.algebra._xfree(a, b, cap=2 * K)

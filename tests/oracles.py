@@ -12,6 +12,8 @@ direct route, or reads back what the library writes:
 - the Hodge split a = delta delta_inv a + delta_inv delta a + a_00;
 - the flatness residual of a flat section against the whole series of r;
 - the star product of hbar-expanded observables, bilinear over hbar powers;
+- the star product as sigma of the whole circle product of lifts through
+  grade 2K, for `star`'s X-free product of lifts through 2K - 1;
 - closed-form 2D monomial products for the general circle product, from
   the factorial form of the 2D contraction coefficient;
 - a coefficient table read off a real two-form, for `g_coeff` against the
@@ -29,7 +31,7 @@ from fractions import Fraction
 from operator import add
 
 from fedosov import weyl
-from fedosov.abelian import AbelianCorrection, FlatSection, abelian_r, star
+from fedosov.abelian import AbelianCorrection, FlatSection, abelian_r, flat_section, star
 from fedosov.calculus import covariant_d, delta, delta_inv
 from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
 from fedosov.manifest import parse_scalar
@@ -324,6 +326,16 @@ def star_hbar(m: ManifoldSpec, c: ConnectionSpec, a: dict[int, BasePolynomial],
                 j = ja + jb + k
                 out[j] = out[j] + p if j in out else p
     return {k: p for k, p in out.items() if p}
+
+
+def star_full_lift(m: ManifoldSpec, c: ConnectionSpec, a0: BasePolynomial, b0: BasePolynomial,
+                   K: int, r: AbelianCorrection | None = None) -> dict[int, BasePolynomial]:
+    """sigma(a o b) through hbar^K, with a and b the flat lifts through 2K."""
+    if r is None:
+        r = abelian_r(m, c, max(3, 2 * K))
+    a, b = flat_section(r, a0, 2 * K), flat_section(r, b0, 2 * K)
+    full = weyl.sigma(m.algebra.circ(a.series, b.series, cap=2 * K))
+    return {k: p for k, p in full.items() if k <= K}
 
 
 def _f_raw(r: int, j: int, s: int, k: int, t: int) -> Fraction:

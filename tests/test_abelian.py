@@ -19,7 +19,7 @@ from fedosov.geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma
 from fedosov.manifest import parse_poly
 from fedosov.poly import BasePolynomial, format_poly
 from fedosov.scalars import GaussianRational, I, ONE
-from fedosov.weyl import TruncationError, WeylAlgebra, WeylSeries, div_ihbar, sigma
+from fedosov.weyl import TruncationError, WeylAlgebra, WeylSeries, div_ihbar
 
 from conftest import rand_poly
 from oracles import (
@@ -28,11 +28,16 @@ from oracles import (
     commuting_case_shortcut,
     correction_series,
     flatness_residual,
+    star_full_lift,
     star_hbar,
 )
-from test_golden import COMMUTING_ZMAX, commuting_connections
+from test_golden import COMMUTING_ZMAX, commuting_connections, complex_connections, connections
 
 HALF_I = GaussianRational(0, Fraction(1, 2))
+
+
+def real_part(p):
+    return BasePolynomial(p.dim, {e: c.re for e, c in p.items()})
 
 
 def flat_section_sweeps(r, a0, N):
@@ -226,6 +231,19 @@ class TestFiniteness:
             assert res.first_violated == mp
             assert res.square_violated  # r[m-1] o r[m-1] != 0 shows up at z = 2m-3
             assert res.first_residual is not None
+
+    def test_proposition_4_1_on_engine_output(self):
+        # in 2D the square of a delta_inv-image vanishes only when the image
+        # does, so the z = 2m - 3 equation r[m-1] o r[m-1] = 0 holds iff r[m-1] = 0
+        specs = {**connections(), **complex_connections(),
+                 "G112": (ManifoldSpec.standard(2), ConnectionSpec(2, [((1, 1, 2), 1)]))}
+        for name, (m, c) in specs.items():
+            if m.dim != 2:
+                continue
+            r = abelian_r(m, c, 9)
+            for mp in range(4, 11):
+                assert finiteness_test(r, mp).square_violated == (not r.part(mp - 1).is_zero()), \
+                    (name, mp)
 
     def test_m_guards(self, r_curved):
         with pytest.raises(ValueError):
@@ -559,6 +577,21 @@ class TestStar:
         b0 = rand_poly(rng, 2, deg=2, terms=2)
         assert star(m, c, a0, b0, 0) == ({0: a0 * b0} if not (a0 * b0).is_zero() else {})
 
+    def test_r_through_2k_minus_1_suffices(self, curved2):
+        # star lifts only through grade 2K - 1, so r known that far is enough
+        m, c = curved2
+        rng = random.Random(31)
+        for K in range(2, 5):
+            a0, b0 = (rand_poly(rng, 2, deg=4, terms=3) for _ in range(2))
+            want = star(m, c, a0, b0, K, r=abelian_r(m, c, 2 * K))
+            assert star(m, c, a0, b0, K, r=abelian_r(m, c, 2 * K - 1)) == want
+            if K >= 3:
+                with pytest.raises(TruncationError):
+                    star(m, c, a0, b0, K, r=abelian_r(m, c, 2 * K - 2))
+        r = abelian_r(m, c, 3)
+        for K in (0, 1):
+            assert star(m, c, a0, b0, K, r=r) == star_full_lift(m, c, a0, b0, K, r=r)
+
     def test_negative_order_rejected(self, curved2, r_curved):
         m, c = curved2
         q = BasePolynomial.variable(2, 1)
@@ -572,12 +605,12 @@ class TestStar:
             star(m, c, q, q, 6, r=r_curved)
 
     def test_projection_matches_full_product(self, curved2, poly2, comm4, monkeypatch):
-        # star forms only the X-free terms of the product of the two lifts;
-        # the old route formed the whole product and projected it
+        # star lifts through 2K - 1 and forms only X-free product terms; the
+        # oracle lifts through 2K, forms the whole product and projects it
         custom = ManifoldSpec(4, [[0, 2, 1, 0], [-2, 0, 0, Fraction(-1, 3)],
                                   [-1, 0, 0, 3], [0, Fraction(1, 3), -3, 0]])
-        cases = [(curved2, 3), (poly2, 2), (comm4, 2),
-                 ((custom, ConnectionSpec(4, [((1, 1, 2), 1), ((2, 3, 4), Fraction(1, 2))])), 2)]
+        cases = [(curved2, 4), (poly2, 4), (comm4, 3),
+                 ((custom, ConnectionSpec(4, [((1, 1, 2), 1), ((2, 3, 4), Fraction(1, 2))])), 3)]
         formed = []
         circ = WeylAlgebra.circ
 
@@ -586,21 +619,26 @@ class TestStar:
             return circ(alg, a, b, cap)
 
         rng = random.Random(29)
-        for (m, c), K in cases:
-            r = abelian_r(m, c, max(3, 2 * K))
-            for _ in range(2):
-                a0 = rand_poly(rng, m.dim, deg=2, terms=3)
-                b0 = rand_poly(rng, m.dim, deg=2, terms=3)
-                monkeypatch.setattr(WeylAlgebra, "circ", counting_circ)
-                got = star(m, c, a0, b0, K, r=r)
-                monkeypatch.setattr(WeylAlgebra, "circ", circ)
-                assert formed == []
-                sa, sb = flat_section(r, a0, 2 * K), flat_section(r, b0, 2 * K)
-                full = sigma(m.algebra.circ(sa.series, sb.series, cap=2 * K))
-                assert got == {k: p for k, p in full.items() if k <= K}
-                assert got
-                with pytest.raises(TruncationError):
-                    m.algebra._xfree(sa.series, sb.series, cap=2 * K + 1)
+        for (m, c), top_K in cases:
+            r = abelian_r(m, c, max(3, 2 * top_K))
+            i_q1 = BasePolynomial.constant(m.dim, I) * BasePolynomial.variable(m.dim, 1)
+            reached = set()
+            for K in range(top_K + 1):
+                a0, b0 = (rand_poly(rng, m.dim, deg=4, terms=4) for _ in range(2))
+                pairs = [(real_part(a0), real_part(b0)), (a0 + i_q1, b0 - i_q1)]
+                for a0, b0 in pairs:
+                    monkeypatch.setattr(WeylAlgebra, "circ", counting_circ)
+                    got = star(m, c, a0, b0, K, r=r)
+                    monkeypatch.setattr(WeylAlgebra, "circ", circ)
+                    assert formed == []
+                    assert got == star_full_lift(m, c, a0, b0, K, r=r)
+                    reached.add(max(got))
+                if K:
+                    # the lifts star multiplies, less a0 and b0, determine 2K and no more
+                    a, b = (flat_section(r, p, 2 * K - 1).series - p for p in (a0, b0))
+                    with pytest.raises(TruncationError):
+                        m.algebra._xfree(a, b, cap=2 * K + 1)
+            assert top_K in reached, (m.dim, reached)
 
     def test_flat_matches_moyal_formula(self, flat2):
         # on flat 2D the star product is the Moyal product, through h^4:
