@@ -4,38 +4,36 @@ The correction one-form r solves
 
     delta r = R + covariant_d r + (1/i hbar) r o r,      delta_inv r = 0,
 
-with R the curvature two-form of the symmetric connection.  Solving grade
-by grade gives the unique normalized solution r[z] = delta_inv source(z),
-with source(3) = R and, for z >= 4,
+with R the curvature two-form of the symmetric connection.  Taking its
+form gamma as grade 2, r[2] = gamma (Fedosov's one connection form gamma + r),
+the unique normalized solution is r[z] = delta_inv source(z), grade by
+grade, with source(3) = R = d gamma + (1/i hbar) gamma o gamma and
 
-    source(z) = covariant_d r[z-1] + (1/i hbar) sum_{j+k=z+1} r[j] o r[k]
+    source(z) = d r[z-1] + (1/i hbar) sum_{j+k=z+1; j, k >= 2} r[j] o r[k]
 
-(j, k >= 3), whose components are one-forms of degree z with fiber length
->= 1 and even hbar powers only.  For one-forms r[j] o r[k] + r[k] o r[j]
-is the graded commutator [r[j], r[k]], so the sum pairs into one bracket
-per unordered pair j <= k, halved when j = k.  Each correction keeps a
-table of these brackets and of the sources, each formed at most once: the
-solver, check_abelian and the closure system of finiteness_test all read
-it.  Flat sections are lifted from their X-free parts by the same graded
-step, with commutators [r[j], a[w]] in place of the products.  The star
-product through hbar^K projects the circle product of the lifts through
-grade 2K - 1, so r through 2K - 1 suffices: lifted grades w >= 1 have
-fiber length >= 1, and an X-free term at hbar^k pairs a0 with b0 or
-grades with w1 + w2 = 2k.
+for z >= 4: one-forms of degree z, fiber length >= 1, even hbar powers.
+For one-forms r[j] o r[k] + r[k] o r[j] = [r[j], r[k]], so the sum pairs
+into one bracket per unordered pair j <= k; j = 2 is covariant_d's
+[gamma, r[z-1]], and r[j] o r[j] = 1/2 [r[j], r[j]] is formed over unordered
+pairs of terms.  Each correction keeps a table of these brackets and of the
+sources, each formed at most once: the solver, check_abelian and the
+closure system of finiteness_test all read it.  Flat sections are lifted
+from their X-free parts by the same graded step, with [r[j], a[w]] in place
+of the brackets.  The star product through hbar^K projects the circle
+product of the lifts through grade 2K - 1, so r through 2K - 1 suffices:
+lifted grades w >= 1 have fiber length >= 1, and an X-free term at hbar^k
+pairs a0 with b0 or grades with w1 + w2 = 2k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
-from .calculus import covariant_d, delta, delta_inv
-from .geometry import ConnectionSpec, ManifoldSpec, curvature_form, gamma_form
+from .calculus import delta, delta_inv, ext_d
+from .geometry import ConnectionSpec, ManifoldSpec, ValidationError, _curvature, gamma_form
 from .poly import BasePolynomial
-from .weyl import TruncationError, WeylSeries, div_ihbar
-
-_HALF = Fraction(1, 2)
+from .weyl import _COMMUTATOR, TruncationError, WeylSeries, div_ihbar, sigma
 
 
 @dataclass
@@ -46,9 +44,13 @@ class AbelianCorrection:
     connection: ConnectionSpec
     parts: dict[int, WeylSeries]
     known_through: int
-    # filled on demand from `parts`, which must not change once read:
-    # (j, k) with j <= k -> [r[j], r[k]], halved when j == k; z -> source(z), R at 3
+    # filled on demand from `parts`, which must not change once read, with r[2] = gamma:
+    # (j, k) with 2 <= j <= k -> [r[j], r[k]], halved when j == k; z -> source(z), R at 3
     _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.connection.dim != self.manifold.dim:
+            raise ValidationError("connection dimension mismatch")
 
     def part(self, z: int) -> WeylSeries:
         if z < 3:
@@ -68,32 +70,33 @@ class AbelianCorrection:
     def _gamma(self) -> WeylSeries:
         return gamma_form(self.manifold, self.connection)
 
+    def _grade(self, z: int) -> WeylSeries:
+        return self._gamma if z == 2 else self.part(z)
+
     def _pair(self, j: int, k: int) -> WeylSeries:
-        """r[j] o r[k] + r[k] o r[j] for j < k, and r[j] o r[j] for j == k."""
+        """[r[j], r[k]] for j < k, and r[j] o r[j] = 1/2 [r[j], r[j]]."""
         p = self._table.get((j, k))
         if p is None:
-            p = self.manifold.algebra.commutator(self.part(j), self.part(k))
-            if j == k:
-                p = p.scale(_HALF)
-            self._table[(j, k)] = p
+            alg, a, b = self.manifold.algebra, self._grade(j), self._grade(k)
+            p = self._table[(j, k)] = alg.commutator(a, b) if j < k else alg._product(
+                a, a, alg._effective_cap(a, a, None, fiber_only=True), _COMMUTATOR, diagonal=True)
         return p
 
     def _source(self, z: int) -> WeylSeries:
-        """R at z = 3, else covariant_d r[z-1] + (1/i hbar) sum_{j+k=z+1} r[j] o r[k]."""
+        """R at z = 3, else d r[z-1] + (1/i hbar) sum_{j+k=z+1} r[j] o r[k], j, k >= 2."""
         s = self._table.get(z)
         if s is None and z == 3:
-            s = self._table[z] = curvature_form(self.manifold, self.connection)
+            s = self._table[z] = _curvature(self.manifold.algebra, self._gamma)
         elif s is None:
-            pairs = [self._pair(j, z + 1 - j) for j in range(3, (z + 1) // 2 + 1)]
-            s = self._table[z] = _step(self, self.part(z - 1), pairs)
+            pairs = [self._pair(j, z + 1 - j) for j in range(2, (z + 1) // 2 + 1)]
+            s = self._table[z] = _step(self.part(z - 1), pairs)
         return s
 
 
-def _step(r: AbelianCorrection, prev: WeylSeries, prods) -> WeylSeries:
-    """covariant_d prev + (1/i hbar) sum(prods): one grade's source."""
-    out = covariant_d(r.manifold.algebra, r._gamma, prev)
-    total = sum(prods, WeylSeries.zero(r.manifold.dim))
-    return out if total.is_zero() else out + div_ihbar(total)
+def _step(prev: WeylSeries, brackets) -> WeylSeries:
+    """d prev + (1/i hbar) sum(brackets): one grade's source."""
+    total = sum(brackets, WeylSeries.zero(prev.dim))
+    return ext_d(prev) if total.is_zero() else ext_d(prev) + div_ihbar(total)
 
 
 def abelian_r(m: ManifoldSpec, c: ConnectionSpec, N: int) -> AbelianCorrection:
@@ -202,11 +205,9 @@ def finiteness_test(r: AbelianCorrection, m_param: int) -> FinitenessResult:
     """
     if m_param < 4:
         raise ValueError("need m >= 4")
-    if r.known_through < m_param - 1:
-        raise TruncationError(
-            f"need r through degree {m_param - 1}, known through {r.known_through}"
-        )
     mm = m_param
+    if r.known_through < mm - 1:
+        raise TruncationError(f"need r through degree {mm - 1}, known through {r.known_through}")
     equations = [(mm, r._source(mm))]
     for z in range(mm + 1, 2 * mm - 2):
         js = range(max(3, z + 2 - mm), (z + 1) // 2 + 1)
@@ -228,10 +229,9 @@ def flat_section(r: AbelianCorrection, a0: BasePolynomial, N: int | None = None)
 
         a = a0 + delta_inv( covariant_d a + (1/i hbar)[r, a] )
 
-    solved through grade N by the solver's graded step: a[0] = a0 and
+    solved through grade N by the solver's graded step, r[2] = gamma: a[0] = a0,
 
-        a[z] = delta_inv( covariant_d a[z-1]
-                          + (1/i hbar) sum_{j>=3} [r[j], a[z+1-j]] ).
+        a[z] = delta_inv( d a[z-1] + (1/i hbar) sum_{j>=2} [r[j], a[z+1-j]] ).
 
     a0 is X-free, hence central, so the sum stops at j = z.
     """
@@ -246,8 +246,8 @@ def flat_section(r: AbelianCorrection, a0: BasePolynomial, N: int | None = None)
         raise ValueError("observable dimension mismatch")
     grades = [WeylSeries.from_poly(a0)]
     for z in range(1, N + 1):
-        comms = [m.algebra.commutator(r.part(j), grades[z + 1 - j]) for j in range(3, z + 1)]
-        grades.append(delta_inv(_step(r, grades[z - 1], comms)))
+        comms = [m.algebra.commutator(r._grade(j), grades[z + 1 - j]) for j in range(2, z + 1)]
+        grades.append(delta_inv(_step(grades[z - 1], comms)))
     series = sum(grades, WeylSeries.zero(m.dim, known_through=N))
     return FlatSection(a0=a0, series=series, known_through=N)
 
@@ -257,14 +257,13 @@ def star(m: ManifoldSpec, c: ConnectionSpec, a0: BasePolynomial, b0: BasePolynom
     """Star product through hbar^K: lift both observables to flat sections
     through grade 2K - 1, multiply, project with sigma.  Lifted grades w >= 1
     have fiber length >= 1, so an X-free term at hbar^k pairs a0 with b0 or
-    grades w1 + w2 = 2k.  Only X-free terms are formed: sigma keeps no other."""
-    from .weyl import sigma
-
+    grades w1 + w2 = 2k.  Only X-free terms are formed: sigma keeps no other.
+    A lift through grade 1 reads no grade of r, so r is solved only for K >= 2."""
     if K < 0:
         raise ValueError("need K >= 0")
     top = max(0, 2 * K - 1)
     if r is None:
-        r = abelian_r(m, c, max(3, top))
+        r = abelian_r(m, c, top) if top >= 3 else AbelianCorrection(m, c, {}, known_through=2)
     a = flat_section(r, a0, top).series - a0
     b = flat_section(r, b0, top).series - b0
     prod = WeylSeries.from_poly(a0 * b0) + m.algebra._xfree(a, b, cap=2 * K)

@@ -186,17 +186,19 @@ def gamma_form(m: ManifoldSpec, c: ConnectionSpec) -> WeylSeries:
     n = m.dim
     entries = []
     half = Fraction(1, 2)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(1, n + 1):
-                g = c.coeff(i, j, k)
-                if g.is_zero():
-                    continue
-                fiber = [0] * n
-                fiber[i - 1] += 1
-                fiber[j - 1] += 1
-                entries.append((g if i != j else g.scale(half), 0, fiber, (k,)))
+    for triple, g in c._entries.items():
+        for k in set(triple):  # each distinct dq^k, with X^i X^j the other two
+            rest = list(triple)
+            rest.remove(k)
+            fiber = [rest.count(i) for i in range(1, n + 1)]
+            entries.append((g.scale(half) if rest[0] == rest[1] else g, 0, fiber, (k,)))
     return WeylSeries.build(n, entries)
+
+
+def _curvature(alg: WeylAlgebra, gamma: WeylSeries) -> WeylSeries:
+    """d gamma + (1/i hbar) gamma o gamma."""
+    sq = alg.circ(gamma, gamma)
+    return ext_d(gamma) if sq.is_zero() else ext_d(gamma) + div_ihbar(sq)
 
 
 def curvature_tensor(m: ManifoldSpec, c: ConnectionSpec) -> dict:
@@ -229,11 +231,7 @@ def curvature_form(m: ManifoldSpec, c: ConnectionSpec, via: str = "form-equation
     The two agree; tests hold them together.
     """
     if via == "form-equation":
-        g = gamma_form(m, c)
-        sq = m.algebra.circ(g, g)
-        if sq.is_zero():
-            return ext_d(g)
-        return ext_d(g) + div_ihbar(sq)
+        return _curvature(m.algebra, gamma_form(m, c))
     if via == "tensor":
         from .weyl import wedge_normalize
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import factorial, gcd, lcm
 from operator import add
 
@@ -69,8 +70,9 @@ def wedge_normalize(indices, dim: int):
     return tuple(sorted(word)), -1 if inversions % 2 else 1
 
 
+@cache
 def _merge(w1, w2):
-    """wedge_normalize(w1 + w2) for two increasing words, unchecked."""
+    """wedge_normalize(w1 + w2) for two increasing words, unchecked; memoized."""
     if not set(w1).isdisjoint(w2):
         return (), 0
     return tuple(sorted(w1 + w2)), -1 if sum(x > y for x in w1 for y in w2) % 2 else 1
@@ -457,36 +459,41 @@ class WeylAlgebra:
             )
         return cap
 
-    def _product(self, a: WeylSeries, b: WeylSeries, eff, mode=_CIRC) -> WeylSeries:
+    def _product(self, a: WeylSeries, b: WeylSeries, eff, mode=_CIRC, diagonal=False) -> WeylSeries:
         """Sum of the kernel terms of every pair of (u, nu, fiber, word) groups
         through degree eff, in ints over den_a den_b (2 D)^T, T the top kernel
-        order reached (kernels list t in rising order)."""
-        right = [(u2, k2, f2, w2, q2, 2 * k2 + sum(f2))
-                 for (u2, k2, f2, w2), q2 in _groups(b._terms).items()]
-        words = {(w1, w2): _merge(w1, w2) for w1 in {key[3] for key in a._terms}
-                 for w2 in {key[3] for key in b._terms}}
+        order reached (kernels list t in rising order), b's groups bucketed by
+        word.  With diagonal, b is a one-form a whose unordered group pairs are
+        met once: in mode _COMMUTATOR that is a o a = 1/2 [a, a], as a group
+        paired with itself repeats its word and (g, h), (h, g) contribute equally."""
+        right: dict = {}  # word -> b's groups with it; filled as a's are met if diagonal
+        for (u2, k2, f2, w2), q2 in () if diagonal else _groups(b._terms).items():
+            right.setdefault(w2, []).append((u2, k2, f2, q2, 2 * k2 + sum(f2)))
         kernels, jobs, top = self._kernels, [], 0
         for (u1, k1, f1, w1), q1 in _groups(a._terms).items():
             d1 = 2 * k1 + sum(f1)
-            for u2, k2, f2, w2, q2, d2 in right:
-                if eff is not None and d1 + d2 > eff:
-                    continue
-                kernel = kernels.get((f1, f2, mode))
-                if kernel is None:
-                    kernel = kernels[(f1, f2, mode)] = _kernel(self._pairs, f1, f2, mode)
-                if not kernel:
-                    continue
-                word, sign = words[(w1, w2)]
+            for w2, bucket in right.items():
+                word, sign = _merge(w1, w2)
                 if sign == 0:
                     continue
-                # the q-parts multiply once, so like q-terms merge before the kernel
-                base: dict = {}
-                for e1, c1 in q1.items():
-                    for e2, c2 in q2.items():
-                        e = tuple(map(add, e1, e2))
-                        base[e] = base.get(e, 0) + c1 * c2
-                jobs.append((u1 ^ u2, k1 + k2, word, -sign if u1 & u2 else sign, kernel, base))
-                top = max(top, kernel[-1][0])
+                for u2, k2, f2, q2, d2 in bucket:
+                    if eff is not None and d1 + d2 > eff:
+                        continue
+                    kernel = kernels.get((f1, f2, mode))
+                    if kernel is None:
+                        kernel = kernels[(f1, f2, mode)] = _kernel(self._pairs, f1, f2, mode)
+                    if not kernel:
+                        continue
+                    # the q-parts multiply once, so like q-terms merge before the kernel
+                    base: dict = {}
+                    for e1, c1 in q1.items():
+                        for e2, c2 in q2.items():
+                            e = tuple(map(add, e1, e2))
+                            base[e] = base.get(e, 0) + c1 * c2
+                    jobs.append((u1 ^ u2, k1 + k2, word, -sign if u1 & u2 else sign, kernel, base))
+                    top = max(top, kernel[-1][0])
+            if diagonal:
+                right.setdefault(w1, []).append((u1, k1, f1, q1, d1))
         powers = [self._scale ** (top - t) for t in range(top + 1)]
         terms: dict = {}
         for u, k, word, sign, kernel, base in jobs:

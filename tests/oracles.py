@@ -4,6 +4,8 @@ Each computes a result the library also computes, by a slower and more
 direct route, or reads back what the library writes:
 
 - the whole-series fixed point for the graded solver;
+- the covariant_d-shaped source and lift, with gamma apart from r and one
+  circ per ordered pair, for the graded recursion with r[2] = gamma;
 - a bracket-free recursion, checked pair by pair afterwards, for the
   verdict of `fedosov finite` on connections whose components all commute;
 - two full products per pair of form degrees for the one-pass commutator;
@@ -79,6 +81,37 @@ def abelian_r_iterative(m: ManifoldSpec, c: ConnectionSpec, steps: int, N: int) 
         r = delta_inv(source).truncate(N)
     parts = {z: _grade(r, z) for z in range(3, N + 1)}
     return AbelianCorrection(m, c, parts, known_through=N)
+
+
+def source_reference(r: AbelianCorrection, z: int) -> WeylSeries:
+    """source(z) with gamma apart from r: curvature_form's R at z = 3, else
+
+        covariant_d r[z-1] + (1/i hbar) sum_{j+k=z+1; j, k >= 3} r[j] o r[k],
+
+    one circ per ordered pair."""
+    m, c = r.manifold, r.connection
+    if z == 3:
+        return curvature_form(m, c)
+    alg = m.algebra
+    out = covariant_d(alg, gamma_form(m, c), r.part(z - 1))
+    prods = sum((alg.circ(r.part(j), r.part(z + 1 - j)) for j in range(3, z - 1)),
+                WeylSeries.zero(m.dim))
+    return out if prods.is_zero() else out + div_ihbar(prods)
+
+
+def flat_section_reference(r: AbelianCorrection, a0: BasePolynomial, N: int) -> WeylSeries:
+    """flat_section's series with gamma apart from r: a[0] = a0 and
+
+        a[z] = delta_inv( covariant_d a[z-1] + (1/i hbar) sum_{j=3..z} [r[j], a[z+1-j]] )."""
+    m = r.manifold
+    alg, gamma = m.algebra, gamma_form(m, r.connection)
+    grades = [WeylSeries.from_poly(a0)]
+    for z in range(1, N + 1):
+        comms = sum((alg.commutator(r.part(j), grades[z + 1 - j]) for j in range(3, z + 1)),
+                    WeylSeries.zero(m.dim))
+        step = covariant_d(alg, gamma, grades[z - 1])
+        grades.append(delta_inv(step if comms.is_zero() else step + div_ihbar(comms)))
+    return sum(grades, WeylSeries.zero(m.dim, known_through=N))
 
 
 class CommutingHypothesisError(ValueError):

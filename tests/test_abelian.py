@@ -1,11 +1,12 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
-from fedosov import abelian, cli
+from fedosov import abelian, cli, weyl
 from fedosov.abelian import (
     AbelianCorrection,
     abelian_r,
@@ -27,7 +28,9 @@ from oracles import (
     abelian_r_iterative,
     commuting_case_shortcut,
     correction_series,
+    flat_section_reference,
     flatness_residual,
+    source_reference,
     star_full_lift,
     star_hbar,
 )
@@ -148,6 +151,26 @@ class TestSolver:
             abelian_r_iterative(m, c, steps=4, N=6)
 
 
+class TestGradedRecursion:
+    def test_sources_and_lifts_match_covariant_d_route(self, curved2, poly2, comm4):
+        # r[2] = gamma folds covariant_d's [gamma, .] into the bracket sum and
+        # R into the correction's own circ; the route with gamma apart from r
+        # gives the same sources and lifts, on real, polynomial, commuting,
+        # custom-omega and complex connections
+        specs = complex_connections()
+        rng = random.Random(31)
+        for (m, c), N in ((curved2, 9), (poly2, 7), (comm4, 7), (specs["custom4d"], 5),
+                          (specs["complex2d"], 6)):
+            r = abelian_r(m, c, N)
+            for z in range(3, N + 1):
+                assert r._source(z) == source_reference(r, z), z
+            for _ in range(2):
+                a0 = rand_poly(rng, m.dim, deg=2, terms=3)
+                want = flat_section_reference(r, a0, N)
+                assert flat_section(r, a0, N).series == want
+                assert want.known_through == N
+
+
 class TestCheck:
     def test_curved_report(self, r_curved):
         rep = check_abelian(r_curved)
@@ -254,49 +277,55 @@ class TestFiniteness:
 
 class TestProductSharing:
     def test_each_pair_formed_once(self, curved2, monkeypatch):
-        formed, bracketed, derivatives = [], [], []
-        circ, commutator, cov_d = WeylAlgebra.circ, WeylAlgebra.commutator, abelian.covariant_d
+        # with r[2] = gamma, the solve, the check and the sweep form every
+        # bracket (j, k), 2 <= j <= k, in one product pass, each once; R is
+        # the correction's one circ, gamma o gamma, and no route goes around
+        # the table through covariant_d or a second curvature
+        brackets, circs, bypassed = [], [], []
+        product, circ = WeylAlgebra._product, WeylAlgebra.circ
+
+        def counting_product(alg, a, b, eff, mode=weyl._CIRC, **kwargs):
+            if mode == weyl._COMMUTATOR:
+                brackets.append((a, b))
+            return product(alg, a, b, eff, mode, **kwargs)
 
         def counting_circ(alg, a, b, cap=None):
-            formed.append((a, b))
+            circs.append((a, b))
             return circ(alg, a, b, cap)
 
-        def counting_commutator(alg, a, b, cap=None):
-            bracketed.append((a, b))
-            return commutator(alg, a, b, cap)
+        def counting(name, fn):
+            def call(*args, **kwargs):
+                bypassed.append(name)
+                return fn(*args, **kwargs)
+            return call
 
-        def counting_cov_d(*args, **kwargs):
-            derivatives.append(args)
-            return cov_d(*args, **kwargs)
-
+        monkeypatch.setattr(WeylAlgebra, "_product", counting_product)
         monkeypatch.setattr(WeylAlgebra, "circ", counting_circ)
-        monkeypatch.setattr(WeylAlgebra, "commutator", counting_commutator)
-        monkeypatch.setattr(abelian, "covariant_d", counting_cov_d)
+        for module in [mod for name, mod in sys.modules.items() if name.startswith("fedosov")]:
+            for name in ("covariant_d", "curvature_form"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         m, c = curved2
         N = 9
         r = abelian_r(m, c, N)
-        grade = {id(p): z for z, p in r.parts.items()}
+        grade = {id(p): z for z, p in r.parts.items()} | {id(r._gamma): 2}
 
-        def pairs(calls):
-            # r[j] with r[k] only; covariant_d's [gamma, a] is not a pair
-            return [(grade[id(a)], grade[id(b)]) for a, b in calls
-                    if id(a) in grade and id(b) in grade]
+        def pairs():
+            return [(grade[id(a)], grade[id(b)]) for a, b in brackets]
 
-        solved = pairs(bracketed)
-        assert solved and max(j + k for j, k in solved) == N + 1
-        assert all(j <= k for j, k in solved)
-        assert len(derivatives) == N - 3  # one per solved grade
-        derivatives.clear()
+        solved = pairs()
+        assert set(solved) == {(j, k) for j in range(2, N) for k in range(max(j, 5 - j), N + 2 - j)}
+        assert circs == [(r._gamma, r._gamma)]
         check_abelian(r)
-        assert pairs(bracketed) == solved
+        assert pairs() == solved
         for mm in range(4, N + 1):
             finiteness_test(r, mm)
-        swept = pairs(bracketed)
-        assert len(swept) > len(solved)
+        swept = pairs()
         assert len(swept) == len(set(swept))
-        assert all(j <= k for j, k in swept)
-        assert pairs(formed) == []
-        assert derivatives == []
+        assert set(swept) - set(solved) == {(j, k) for j in range(3, N) for k in range(j, N)
+                                            if j + k > N + 1}
+        assert len(circs) == 1
+        assert bypassed == []
 
 
 class TestRationalEngine:
@@ -350,13 +379,13 @@ class TestRationalEngine:
         # the check and the closure sweep read R and flat keys from the
         # correction, so they build none and form no second curvature
         curvatures = []
-        curvature = abelian.curvature_form
+        curvature = abelian._curvature
 
         def counting_curvature(*args):
             curvatures.append(args)
             return curvature(*args)
 
-        monkeypatch.setattr(abelian, "curvature_form", counting_curvature)
+        monkeypatch.setattr(abelian, "_curvature", counting_curvature)
         m, c = curved2
         for N in (6, 12):
             r = abelian_r(m, c, N)
@@ -591,6 +620,37 @@ class TestStar:
         r = abelian_r(m, c, 3)
         for K in (0, 1):
             assert star(m, c, a0, b0, K, r=r) == star_full_lift(m, c, a0, b0, K, r=r)
+
+    def test_low_orders_solve_no_r(self, curved2, monkeypatch):
+        # lifts through grade 2K - 1 <= 1 read no grade of r, so star solves
+        # none for K <= 1, and keeps its argument and dimension checks
+        solves = []
+        solve = abelian.abelian_r
+
+        def counting_solve(*args):
+            solves.append(args[2])
+            return solve(*args)
+
+        monkeypatch.setattr(abelian, "abelian_r", counting_solve)
+        m, c = curved2
+        q1, q2 = BasePolynomial.variable(2, 1), BasePolynomial.variable(2, 2)
+        assert star(m, c, q1, q2, 0) == {0: q1 * q2}
+        assert star(m, c, q1, q2, 1) == {0: q1 * q2, 1: BasePolynomial.constant(2, HALF_I)}
+        for K in (0, 1):
+            assert star(m, c, q1 * q1, q2 + q1 * q2, K) == star_full_lift(m, c, q1 * q1, q2 + q1 * q2, K)
+        assert solves == []
+        with pytest.raises(ValueError, match="need K >= 0"):
+            star(m, c, q1, q2, -1)
+        q4 = BasePolynomial.variable(4, 1)
+        for a, b in ((q4, q2), (q1, q4)):
+            with pytest.raises(ValueError, match="observable dimension mismatch"):
+                star(m, c, a, b, 0)
+        for conn in (ConnectionSpec(4, [((3, 3, 3), 1)]), ConnectionSpec(4)):
+            with pytest.raises(ValueError, match="connection dimension mismatch"):
+                star(m, conn, q1, q2, 0)
+        assert solves == []
+        star(m, c, q1, q2, 2)
+        assert solves == [3]
 
     def test_negative_order_rejected(self, curved2, r_curved):
         m, c = curved2

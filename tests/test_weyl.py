@@ -269,16 +269,17 @@ class TestCirc:
 
 
 @st.composite
-def flat_series(draw, dim, complex_values):
+def flat_series(draw, dim, complex_values, one_form=False):
     """A series drawn as its flat map: nu power, fiber, word and q-exponents
     with rational real parts over mixed denominators and, when asked,
-    imaginary parts; possibly truncated."""
+    imaginary parts; possibly truncated.  With one_form every word is one dq."""
     fraction = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
     terms: dict = {}
     for _ in range(draw(st.integers(1, 5))):
         key = (draw(st.integers(0, 1)),
                draw(st.tuples(*[st.integers(0, 2)] * dim)),
-               tuple(sorted(draw(st.sets(st.integers(1, dim), max_size=2)))),
+               (draw(st.integers(1, dim)),) if one_form
+               else tuple(sorted(draw(st.sets(st.integers(1, dim), max_size=2)))),
                draw(st.tuples(*[st.integers(0, 1)] * dim)))
         im = draw(fraction) if complex_values else 0
         _accumulate(terms, key, GaussianRational(draw(fraction), im))
@@ -320,6 +321,20 @@ class TestIntegerPaths:
         for op, reference in ((delta, delta_reference), (delta_inv, delta_inv_reference),
                               (ext_d, ext_d_reference)):
             assert stored(op(a)) == stored(reference(a))
+
+
+    @settings(derandomize=True, max_examples=80)
+    @given(st.data())
+    def test_diagonal_bracket_is_half_commutator(self, data):
+        # one pass over unordered group pairs gives a o a = 1/2 [a, a] for a
+        # one-form a: real, complex and mixed operands, possibly truncated
+        alg = data.draw(st.sampled_from((ALG2, ALG4, CUSTOM4)))
+        a = data.draw(flat_series(alg.dim, data.draw(st.booleans()), one_form=True))
+        eff = alg._effective_cap(a, a, None, True)
+        got = alg._product(a, a, eff, weyl._COMMUTATOR, True)
+        assert stored(got) == stored(alg.commutator(a, a).scale(Fraction(1, 2)))
+        if a.known_through is None:
+            assert got == alg.circ(a, a)
 
 
 class TestGradingHelpers:
