@@ -130,7 +130,8 @@ def check_abelian(r: AbelianCorrection, N: int | None = None) -> CheckReport:
     component r[3] = delta_inv R.
 
     The residual at grade g is delta r[g+1] - source(g+1), read from the
-    correction's table; it reads only products r[j] o r[k] with j + k <= N + 1.
+    correction's table; it reads only brackets of r[j] and r[k] with
+    j + k <= N + 1, r[2] = gamma among them.
     """
     if N is None:
         N = r.known_through
